@@ -23,12 +23,15 @@ gate fleet-health cargo run --release -p efex-bench --bin fleet -- --tenants 16 
 gate baseline cargo run --release -p efex-bench --bin report -- --check BENCH_baseline.json
 # The superblock engine must reproduce the interpreter-recorded baseline
 # bit-exactly (report --record refuses to run under it, so no re-record
-# can satisfy this gate). The throughput ratio is printed, not gated.
+# can satisfy this gate).
 gate baseline-superblock cargo run --release -p efex-bench --bin report -- --check BENCH_baseline.json --engine superblock
 gate snap cargo run --release -p efex-bench --bin snap
 gate fleet-migrate cargo run --release -p efex-bench --bin fleet -- --tenants 16 --threads 4 --migrate
 gate fleet-kill-shard cargo run --release -p efex-bench --bin fleet -- --tenants 16 --threads 4 --kill-shard 1
-gate throughput cargo run --release -p efex-bench --bin fleet -- --throughput
+# The host-time benchmark builds the simulator from source against its own
+# committed lock file: an API or dependency change that would break it fails
+# here. Host time itself is recorded by the benchmark, never gated in CI.
+gate hostbench-selftest cargo test --release --offline --locked --manifest-path hostbench/Cargo.toml
 gate clippy cargo clippy --workspace --all-targets -- -D warnings
 gate doc env RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 gate doctest cargo test --doc --workspace -q

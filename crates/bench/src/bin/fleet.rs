@@ -1,19 +1,12 @@
-//! Multi-tenant fleet runner: scaling exhibit and determinism gate.
+//! Multi-tenant fleet runner: determinism, health and recovery gates.
 //!
 //! ```text
 //! fleet --tenants 64 --threads 4        one run, aggregate summary
 //! fleet ... --check-determinism         re-run on one thread; the fleet
 //!                                       fingerprints must match bit-exactly
-//! fleet ... --sweep                     scaling table across 1/2/4/8 threads
-//! fleet ... --decode-cache              single-thread wall time with the
-//!                                       decode cache on vs off (results
-//!                                       must be bit-identical)
 //! fleet ... --engine superblock         run every tenant under the given
 //!                                       execution engine (interpreter is
 //!                                       the default; results identical)
-//! fleet ... --throughput                interpreter-vs-superblock guest
-//!                                       Mips A/B exhibit (printed, never
-//!                                       gated on wall time)
 //! fleet ... --chrome <path>             per-tenant Chrome-trace rows
 //! fleet ... --seed <n>                  override the fleet base seed
 //! fleet ... --health                    evaluate the fleet invariant set;
@@ -36,12 +29,14 @@
 //! ```
 //!
 //! Simulated results (stats, cycle-derived times, histograms) are
-//! deterministic and gated; wall-clock numbers are printed for the scaling
-//! exhibits but never asserted — CI machines differ.
+//! deterministic and gated. Wall time appears only in the summary line and
+//! is never gated; the benchmark under `hostbench/` records host time (guest
+//! Mips per engine, decode-cache hit ratio, fleet parallel efficiency) — see
+//! `hostbench/README.md`.
 
 use efex_fleet::{run_fleet, run_fleet_kill_shard, run_fleet_migrate, FleetConfig, FleetReport};
 use efex_mips::cycles::CLOCK_MHZ;
-use efex_mips::machine::{ExecEngine, MachineConfig};
+use efex_mips::machine::ExecEngine;
 use std::process::ExitCode;
 
 fn parse_u64(s: &str) -> Option<u64> {
@@ -91,167 +86,8 @@ fn check_determinism(cfg: &FleetConfig) -> Result<bool, efex_fleet::FleetError> 
     }
 }
 
-fn sweep(cfg: &FleetConfig) -> Result<bool, efex_fleet::FleetError> {
-    println!(
-        "fleet: scaling sweep, {} tenants (seed {:#x}, engine {})",
-        cfg.tenants, cfg.base_seed, cfg.machine.engine,
-    );
-    println!("  threads    wall-ms    speedup    deliveries/sec");
-    let mut base_wall = None;
-    for threads in [1usize, 2, 4, 8] {
-        let r = run_fleet(&FleetConfig { threads, ..*cfg })?;
-        let wall_ms = r.wall_seconds * 1000.0;
-        let base = *base_wall.get_or_insert(r.wall_seconds);
-        println!(
-            "  {threads:>7} {wall_ms:>10.1} {:>9.2}x {:>17.0}",
-            base / r.wall_seconds,
-            r.deliveries_per_wall_sec(),
-        );
-    }
-    // The engine A/B half of the exhibit: same fleet under both engines
-    // (bit-exactness gated), plus the hot-loop guest-Mips ratio (printed,
-    // never gated — wall time depends on the CI box).
-    let interp = run_fleet(&FleetConfig {
-        machine: cfg.machine.engine(ExecEngine::Interpreter),
-        ..*cfg
-    })?;
-    let sb = run_fleet(&FleetConfig {
-        machine: cfg.machine.engine(ExecEngine::Superblock),
-        ..*cfg
-    })?;
-    println!(
-        "fleet: engine A/B: interpreter {:.1} ms wall vs superblock {:.1} ms wall ({:.2}x)",
-        interp.wall_seconds * 1000.0,
-        sb.wall_seconds * 1000.0,
-        interp.wall_seconds / sb.wall_seconds,
-    );
-    throughput_exhibit();
-    if interp.fingerprint() == sb.fingerprint() {
-        println!("fleet: engines are bit-exact (fingerprints identical)");
-        Ok(true)
-    } else {
-        eprintln!("fleet: ENGINE MISMATCH — interpreter/superblock fingerprints disagree");
-        Ok(false)
-    }
-}
-
-/// Simulated-guest instruction throughput (million instructions per wall
-/// second) of a TLB-mapped 64-instruction loop — the code shape the decode
-/// and superblock caches exist for: hot text refetched far more often than
-/// it changes. The machine builds from `mcfg`, so one helper serves the
-/// decode-cache and execution-engine A/B exhibits.
-fn guest_throughput(mcfg: MachineConfig, steps: u64) -> f64 {
-    use efex_mips::encode::encode;
-    use efex_mips::isa::{Instruction, Reg};
-    use efex_mips::machine::{Machine, StopReason};
-    use efex_mips::tlb::TlbEntry;
-
-    let mut m = Machine::with_config(1 << 20, mcfg);
-    let base = 0x0010_0000u32;
-    let pfn = 4u32;
-    // A realistically loaded TLB, so the uncached fetch pays a real walk.
-    for i in 0..48u32 {
-        m.tlb_mut().write(
-            i as usize,
-            TlbEntry {
-                vpn: (base >> 12) + i,
-                asid: 0,
-                pfn: pfn + i,
-                valid: true,
-                dirty: true,
-                global: false,
-                user_modifiable: true,
-            },
-        );
-    }
-    let mut prog = Vec::new();
-    for i in 0..63 {
-        prog.push(encode(Instruction::Addiu {
-            rt: Reg::from_field(8 + (i % 8)),
-            rs: Reg::from_field(8 + (i % 8)),
-            imm: 1,
-        }));
-    }
-    prog.push(encode(Instruction::J {
-        target: (base & 0x0fff_ffff) >> 2,
-    }));
-    prog.push(encode(Instruction::NOP));
-    for (i, w) in prog.iter().enumerate() {
-        m.mem_mut()
-            .write_u32((pfn << 12) + 4 * i as u32, *w)
-            .unwrap();
-    }
-    m.cpu_mut().pc = base;
-    m.cpu_mut().next_pc = base.wrapping_add(4);
-    let t0 = std::time::Instant::now();
-    let stop = m.run(steps).expect("throughput loop must not fault");
-    let elapsed = t0.elapsed().as_secs_f64();
-    assert_eq!(stop, StopReason::StepLimit, "loop must run its full budget");
-    steps as f64 / elapsed / 1e6
-}
-
-/// The interpreter-vs-superblock guest-Mips exhibit: printed, never gated —
-/// wall time depends on the host. Returns the speedup ratio.
-fn throughput_exhibit() -> f64 {
-    let interp_cfg = MachineConfig::default();
-    let sb_cfg = MachineConfig::default().engine(ExecEngine::Superblock);
-    guest_throughput(interp_cfg, 500_000); // warm
-    guest_throughput(sb_cfg, 500_000);
-    let interp = guest_throughput(interp_cfg, 4_000_000);
-    let sb = guest_throughput(sb_cfg, 4_000_000);
-    println!(
-        "fleet: guest throughput {interp:.1} Mips interpreter vs {sb:.1} Mips superblock ({:.2}x)",
-        sb / interp,
-    );
-    sb / interp
-}
-
-fn decode_cache_compare(cfg: &FleetConfig) -> Result<bool, efex_fleet::FleetError> {
-    let single = FleetConfig {
-        threads: 1,
-        trace: false,
-        ..*cfg
-    };
-    // Warm once so allocator/page-cache effects don't favour either side.
-    run_fleet(&single)?;
-    let on = run_fleet(&single)?;
-    // Per-tenant machine config — no process-global toggling, so this A/B
-    // stays sound even if other fleets run concurrently in-process.
-    let off = run_fleet(&FleetConfig {
-        machine: single.machine.decode_cache(false),
-        ..single
-    })?;
-    println!(
-        "fleet: decode cache on  {:>8.1} ms wall",
-        on.wall_seconds * 1000.0
-    );
-    println!(
-        "fleet: decode cache off {:>8.1} ms wall ({:.2}x slower)",
-        off.wall_seconds * 1000.0,
-        off.wall_seconds / on.wall_seconds,
-    );
-    guest_throughput(MachineConfig::default(), 500_000); // warm
-    let thr_on = guest_throughput(MachineConfig::default(), 4_000_000);
-    let thr_off = guest_throughput(MachineConfig::default().decode_cache(false), 4_000_000);
-    println!(
-        "fleet: guest throughput {:.1} Mips cached vs {:.1} Mips uncached ({:.2}x)",
-        thr_on,
-        thr_off,
-        thr_on / thr_off,
-    );
-    // The cache must never change simulated results, only wall time.
-    if on.fingerprint() == off.fingerprint() {
-        println!("fleet: decode cache is result-transparent (fingerprints identical)");
-        Ok(true)
-    } else {
-        eprintln!("fleet: DECODE CACHE CHANGED RESULTS — on/off fingerprints disagree");
-        Ok(false)
-    }
-}
-
 /// The `--health` exhibit: evaluate the fleet invariant set, print every
-/// finding, measure (but never gate) the health plane's host-side cost, and
-/// gate that the health plane changed nothing deterministic.
+/// finding, and gate that the health plane changed nothing deterministic.
 fn run_health(
     report: &FleetReport,
     cfg: &FleetConfig,
@@ -259,21 +95,14 @@ fn run_health(
 ) -> Result<bool, String> {
     let mut ok = true;
 
-    // Host-side overhead: re-run without the health plane. Wall time is
-    // printed, not gated (CI machines differ); the fingerprint comparison
-    // IS gated — health must add zero simulated cycles.
+    // Re-run without the health plane: health must add zero simulated
+    // cycles, so the fingerprints must match.
     let bare = run_fleet(&FleetConfig {
         health: false,
         trace: false,
         ..*cfg
     })
     .map_err(|e| e.to_string())?;
-    println!(
-        "fleet: health plane host overhead: {:.1} ms wall with vs {:.1} ms without ({:+.1}%)",
-        report.wall_seconds * 1000.0,
-        bare.wall_seconds * 1000.0,
-        (report.wall_seconds / bare.wall_seconds - 1.0) * 100.0,
-    );
     if report.fingerprint() == bare.fingerprint() {
         println!("fleet: health plane is result-transparent (fingerprints identical on/off)");
     } else {
@@ -354,8 +183,7 @@ fn main() -> ExitCode {
     if args.iter().any(|a| a == "--help" || a == "-h") {
         println!(
             "usage: fleet [--tenants <n>] [--threads <n>] [--seed <n>] \
-             [--engine interpreter|superblock] [--check-determinism] [--sweep] \
-             [--decode-cache] [--throughput] [--chrome <path>] \
+             [--engine interpreter|superblock] [--check-determinism] [--chrome <path>] \
              [--health] [--metrics-out <path>] [--migrate] [--kill-shard <n>]"
         );
         return ExitCode::SUCCESS;
@@ -367,9 +195,6 @@ fn main() -> ExitCode {
         ..FleetConfig::default()
     };
     let mut do_check = false;
-    let mut do_sweep = false;
-    let mut do_dcache = false;
-    let mut do_throughput = false;
     let mut do_health = false;
     let mut do_migrate = false;
     let mut kill_shard: Option<usize> = None;
@@ -402,9 +227,6 @@ fn main() -> ExitCode {
                 Err(e) => return fail(&e),
             },
             "--check-determinism" => do_check = true,
-            "--sweep" => do_sweep = true,
-            "--decode-cache" => do_dcache = true,
-            "--throughput" => do_throughput = true,
             "--health" => do_health = true,
             "--engine" => match it.next().as_deref().and_then(ExecEngine::parse) {
                 Some(engine) => cfg.machine = cfg.machine.engine(engine),
@@ -452,21 +274,6 @@ fn main() -> ExitCode {
             Ok(pass) => ok &= pass,
             Err(e) => return fail(&format!("fleet: {e}")),
         }
-    }
-    if do_sweep {
-        match sweep(&cfg) {
-            Ok(pass) => ok &= pass,
-            Err(e) => return fail(&format!("fleet: {e}")),
-        }
-    }
-    if do_dcache {
-        match decode_cache_compare(&cfg) {
-            Ok(pass) => ok &= pass,
-            Err(e) => return fail(&format!("fleet: {e}")),
-        }
-    }
-    if do_throughput {
-        throughput_exhibit();
     }
     if do_migrate {
         match migrate_drill(&cfg) {

@@ -71,7 +71,7 @@ fn main() -> ExitCode {
     }
 
     if json {
-        println!("{}", gate.to_json());
+        println!("{}", gate.to_value());
         return if failed {
             ExitCode::FAILURE
         } else {

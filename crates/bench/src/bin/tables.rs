@@ -2,7 +2,8 @@
 //!
 //! ```text
 //! tables [--table1] [--table2] [--table3] [--table4] [--table5]
-//!        [--fig3] [--fig4] [--dsm] [--health] [--all] [--trace-json]
+//!        [--fig3] [--fig4] [--ablations] [--dsm] [--health] [--all]
+//!        [--trace-json]
 //! ```
 //!
 //! With no arguments, prints everything. Output is paper-value vs measured
@@ -15,6 +16,8 @@ use efex_bench::suite::GUEST_MATRIX;
 use efex_core::{
     DeliveryPath, GuestMem, HandlerAction, HandlerSpec, HostProcess, Prot, Protection, System,
 };
+use efex_gc::{workloads as gcw, BarrierKind, Gc, GcConfig};
+use efex_trace::jsonval::Value;
 use efex_trace::{Metrics, Snapshot};
 use std::env;
 
@@ -47,7 +50,11 @@ fn main() {
     if want("--fig4") {
         fig4();
     }
-    if want("--dsm") {
+    if want("--ablations") {
+        ablations();
+    }
+    // The DSM comparison is one of the ablations too.
+    if want("--dsm") || want("--ablations") {
         dsm();
     }
     if want("--health") {
@@ -91,15 +98,14 @@ fn trace_json() {
                 .expect("faulting store");
         }
         host_metrics.merge(h.trace_metrics());
-        host_stats.push(h.stats().snapshot().to_json());
+        host_stats.push(h.stats().snapshot().to_value());
     }
 
-    println!(
-        "{{\"guest\":{},\"host\":{},\"host_stats\":[{}]}}",
-        guest.to_json(),
-        host_metrics.to_json(),
-        host_stats.join(",")
-    );
+    let doc = Value::object()
+        .with("guest", guest.to_value())
+        .with("host", host_metrics.to_value())
+        .with("host_stats", Value::Arr(host_stats));
+    println!("{doc}");
 }
 
 fn table1() {
@@ -282,6 +288,85 @@ fn health() {
     for f in &findings {
         println!("{f}");
     }
+}
+
+/// The design-choice ablations DESIGN.md calls out, in simulated cost:
+/// eager amplification on/off (Section 3.2.3), kernel subpage emulation
+/// (Section 3.2.4) and the GC write barrier's granularity. The DSM
+/// extension under each delivery path follows as its own exhibit.
+fn ablations() {
+    banner("Ablations: eager amplification, subpage emulation, GC barrier granularity (measured)");
+    const ROUNDS: u32 = 50;
+    println!(
+        "eager amplification: {} cycles/fault vs {} without",
+        barrier_loop(true, ROUNDS) / u64::from(ROUNDS),
+        barrier_loop(false, ROUNDS) / u64::from(ROUNDS),
+    );
+    let emul = System::builder()
+        .delivery(DeliveryPath::FastUser)
+        .build()
+        .expect("boot")
+        .measure_subpage_emulation()
+        .expect("emulation");
+    println!("subpage kernel emulation: {emul} cycles per store");
+    println!(
+        "GC barrier granularity (array test): page {:.0} us, subpage {:.0} us, checks {:.0} us",
+        gc_barrier_granularity(BarrierKind::PageProtection),
+        gc_barrier_granularity(BarrierKind::SubpageProtection),
+        gc_barrier_granularity(BarrierKind::SoftwareCheck),
+    );
+}
+
+/// Simulated cycles for a protect-store-fault-reprotect loop with and
+/// without eager amplification.
+fn barrier_loop(eager: bool, rounds: u32) -> u64 {
+    let mut h = HostProcess::builder()
+        .delivery(DeliveryPath::FastUser)
+        .eager_amplification(eager)
+        .build()
+        .expect("host");
+    let base = h.alloc_region(4096, Prot::ReadWrite).expect("region");
+    h.store_u32(base, 0).expect("touch");
+    if eager {
+        h.set_handler(HandlerSpec::new(|_, _| HandlerAction::Retry));
+    } else {
+        h.set_handler(HandlerSpec::new(|ctx, info| {
+            ctx.protect(Protection::region(info.vaddr & !0xfff, 4096).read_write())
+                .expect("amplify");
+            HandlerAction::Retry
+        }));
+    }
+    let start = h.cycles();
+    for i in 0..rounds {
+        h.protect(Protection::region(base, 4096).read_only())
+            .expect("protect");
+        h.store_u32(base, i).expect("store");
+    }
+    h.cycles() - start
+}
+
+/// Simulated µs of the GC array workload under a given barrier granularity.
+fn gc_barrier_granularity(barrier: BarrierKind) -> f64 {
+    let mut gc = Gc::new(GcConfig {
+        path: DeliveryPath::FastUser,
+        barrier,
+        eager_amplification: barrier == BarrierKind::PageProtection,
+        heap_bytes: 4 * 1024 * 1024,
+        minor_threshold: 16 * 1024,
+        ..GcConfig::default()
+    })
+    .expect("gc");
+    gcw::array_test(
+        &mut gc,
+        gcw::ArrayTestParams {
+            array_words: 32 * 1024,
+            replacements: 1_500,
+            mutator_cycles: 200,
+            seed: 5,
+        },
+    )
+    .expect("workload")
+    .micros
 }
 
 fn dsm() {

@@ -12,15 +12,14 @@
 
 use efex_core::debug_progs as progs;
 use efex_mips::asm::{assemble, Program};
-use efex_report::jsonval;
+use efex_report::jsonval::{self, Value};
 use efex_simos::compose::{bench_case, kernel_only_case, BenchKind};
 use efex_simos::fastexc::KERNEL_ASM;
 use efex_simos::kernel::TRAMPOLINE_ASM;
 use efex_simos::verify as simverify;
-use efex_verify::diag::json_escape;
 use efex_verify::interproc::Images;
 use efex_verify::symex::{explore, SymexReport};
-use efex_verify::{Report, VerifyConfig};
+use efex_verify::{Finding, Report, VerifyConfig};
 
 /// Loop count used when assembling a bench for static analysis; the static
 /// shape is identical for any n.
@@ -171,75 +170,57 @@ impl GateResult {
             && self.benches.iter().all(|b| b.report.is_clean())
     }
 
-    /// Renders the whole gate result as one JSON document (machine-readable
-    /// `lint --json` output; parses with [`efex_report::jsonval`]).
-    pub fn to_json(&self) -> String {
-        let findings_json = |findings: &[efex_verify::Finding]| {
-            let items: Vec<String> = findings.iter().map(|f| f.to_json()).collect();
-            format!("[{}]", items.join(","))
-        };
-        let mut out = String::new();
-        out.push_str(&format!("{{\"clean\":{},", self.clean()));
-        out.push_str("\"errors\":[");
-        out.push_str(
-            &self
-                .errors
-                .iter()
-                .map(|e| format!("\"{}\"", json_escape(e)))
-                .collect::<Vec<_>>()
-                .join(","),
-        );
-        out.push_str("],\"images\":[");
-        out.push_str(
-            &self
-                .images
-                .iter()
-                .map(|i| {
-                    format!(
-                        "{{\"name\":\"{}\",\"instructions_analyzed\":{},\"findings\":{}}}",
-                        json_escape(i.name),
-                        i.report.instructions_analyzed,
-                        findings_json(&i.report.findings)
-                    )
-                })
-                .collect::<Vec<_>>()
-                .join(","),
-        );
-        out.push_str("],\"symex\":{");
+    /// The whole gate result as one JSON document (the machine-readable
+    /// `lint --json` output).
+    pub fn to_value(&self) -> Value {
+        let findings = |findings: &[Finding]| findings.iter().map(finding_value).collect::<Value>();
+        let images = self.images.iter().map(|i| {
+            Value::object()
+                .with("name", i.name)
+                .with("instructions_analyzed", i.report.instructions_analyzed)
+                .with("findings", findings(&i.report.findings))
+        });
+        let benches = self.benches.iter().map(|b| {
+            let mut bench = Value::object().with("row", b.kind.row());
+            if let Some(rb) = b.bounds {
+                bench = bench
+                    .with("deliver", Value::from_iter([rb.deliver.0, rb.deliver.1]))
+                    .with("return", Value::from_iter([rb.ret.0, rb.ret.1]));
+            }
+            bench
+                .with("paths", b.report.paths_explored)
+                .with("findings", findings(&b.report.findings))
+        });
+        let mut symex = Value::object();
         if let Some(ko) = &self.kernel_only {
-            out.push_str(&format!(
-                "\"kernel_only\":{{\"scenarios\":{},\"paths\":{},\"findings\":{}}},",
-                ko.scenarios.len(),
-                ko.paths_explored,
-                findings_json(&ko.findings)
-            ));
+            symex = symex.with(
+                "kernel_only",
+                Value::object()
+                    .with("scenarios", ko.scenarios.len())
+                    .with("paths", ko.paths_explored)
+                    .with("findings", findings(&ko.findings)),
+            );
         }
-        out.push_str("\"benches\":[");
-        out.push_str(
-            &self
-                .benches
-                .iter()
-                .map(|b| {
-                    let bounds = match b.bounds {
-                        Some(rb) => format!(
-                            "\"deliver\":[{},{}],\"return\":[{},{}],",
-                            rb.deliver.0, rb.deliver.1, rb.ret.0, rb.ret.1
-                        ),
-                        None => String::new(),
-                    };
-                    format!(
-                        "{{\"row\":\"{}\",{bounds}\"paths\":{},\"findings\":{}}}",
-                        b.kind.row(),
-                        b.report.paths_explored,
-                        findings_json(&b.report.findings)
-                    )
-                })
-                .collect::<Vec<_>>()
-                .join(","),
-        );
-        out.push_str("]}}");
-        out
+        Value::object()
+            .with("clean", self.clean())
+            .with(
+                "errors",
+                self.errors.iter().map(String::as_str).collect::<Value>(),
+            )
+            .with("images", images.collect::<Value>())
+            .with("symex", symex.with("benches", benches.collect::<Value>()))
     }
+}
+
+/// One lint finding as a JSON object, built from its public fields.
+fn finding_value(f: &Finding) -> Value {
+    Value::object()
+        .with("lint", f.lint.code())
+        .with("addr", f.addr)
+        .with("location", f.location.as_str())
+        .with("line", f.line)
+        .with("message", f.message.as_str())
+        .with("context", f.context.as_str())
 }
 
 /// Runs the whole static gate: classic lints over every embedded image,

@@ -111,7 +111,7 @@ fn static_bounds_bracket_the_dynamic_baseline() {
 #[test]
 fn gate_json_parses_and_reports_clean() {
     let gate = symgate::run_gate();
-    let doc = gate.to_json();
+    let doc = gate.to_value().to_string();
     let v = jsonval::parse(&doc).expect("lint --json output must parse");
     assert_eq!(v.get("clean").and_then(|c| c.as_bool()), Some(true));
     let images = v.get("images").and_then(|i| i.as_array()).unwrap();

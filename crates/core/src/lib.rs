@@ -72,7 +72,7 @@
 //! for event in ring.events() {
 //!     println!("{} @{}cy", event.kind, event.cycles);
 //! }
-//! println!("{}", sys.trace_metrics().to_json());
+//! println!("{}", sys.trace_metrics().to_value());
 //! # Ok(())
 //! # }
 //! ```

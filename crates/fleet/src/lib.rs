@@ -317,11 +317,11 @@ impl FleetReport {
                 t.suite,
                 t.seed,
                 t.micros.to_bits(),
-                t.stats.to_json()
+                t.stats.to_value()
             ));
         }
-        out.push_str(&format!("aggregate {}\n", self.aggregate.to_json()));
-        out.push_str(&format!("latency {}\n", self.latency.to_json()));
+        out.push_str(&format!("aggregate {}\n", self.aggregate.to_value()));
+        out.push_str(&format!("latency {}\n", self.latency.to_value()));
         out.push_str(&format!("total_micros {}\n", self.total_micros.to_bits()));
         out
     }
@@ -662,11 +662,7 @@ impl TenantCheckpoint {
             efex_mips::machine::ExecEngine::Superblock => 1,
         });
         w.bool(self.spec.machine.decode_cache);
-        w.u8(match self.spec.machine.mod64_slots {
-            None => 0,
-            Some(false) => 1,
-            Some(true) => 2,
-        });
+        w.bool(self.spec.machine.mod64_slots);
         w.u32(self.legs_total);
         w.u32(self.legs_done);
         w.f64(self.micros);
@@ -696,12 +692,7 @@ impl TenantCheckpoint {
             t => return Err(efex_snap::SnapError::Corrupt(format!("engine tag {t}"))),
         };
         let decode_cache = r.bool()?;
-        let mod64_slots = match r.u8()? {
-            0 => None,
-            1 => Some(false),
-            2 => Some(true),
-            t => return Err(efex_snap::SnapError::Corrupt(format!("mod64 tag {t}"))),
-        };
+        let mod64_slots = r.bool()?;
         let legs_total = r.u32()?;
         let legs_done = r.u32()?;
         if legs_total == 0 || legs_done > legs_total {
@@ -1116,7 +1107,7 @@ fn delivery_probe(
     // probe guest pins the interpreter with the cache on, whatever engine
     // the tenant runs — only the test-only slot-hash pathology carries over
     // (the canary arms it per-tenant and expects the probe to feel it).
-    let probe_cfg = MachineConfig::default().mod64_slots(tenant.mod64_slots.unwrap_or(false));
+    let probe_cfg = MachineConfig::default().mod64_slots(tenant.mod64_slots);
     let mut sys = System::builder()
         .delivery(DeliveryPath::FastUser)
         .trace_sink(ring.clone())
@@ -1378,6 +1369,24 @@ mod tests {
     }
 
     #[test]
+    fn fingerprint_sees_every_counter() {
+        let base = run_fleet(&FleetConfig {
+            tenants: 2,
+            threads: 1,
+            ..FleetConfig::default()
+        })
+        .unwrap();
+        let mut bumped = base.clone();
+        bumped.tenants[1].stats.counters[0].1 += 1;
+        assert_ne!(base.fingerprint(), bumped.fingerprint(), "one counter +1");
+        // A counter name that appears twice must not collapse into one.
+        let mut repeated = base.clone();
+        let first = repeated.aggregate.counters[0].clone();
+        repeated.aggregate.counters.push(first);
+        assert_ne!(base.fingerprint(), repeated.fingerprint(), "repeated name");
+    }
+
+    #[test]
     fn health_plane_never_perturbs_the_fingerprint() {
         let base = FleetConfig {
             tenants: 5,
@@ -1495,7 +1504,7 @@ mod tests {
             id: 3,
             suite: Suite::Watch,
             seed: 0xfeed,
-            machine: MachineConfig::default().mod64_slots(false),
+            machine: MachineConfig::default().mod64_slots(true),
         };
         let mut ckpt = TenantCheckpoint::initial(spec, 2);
         advance_tenant(&mut ckpt, 1).unwrap();
@@ -1503,7 +1512,7 @@ mod tests {
         assert_eq!(back.spec.id, spec.id);
         assert_eq!(back.spec.suite, spec.suite);
         assert_eq!(back.spec.seed, spec.seed);
-        assert_eq!(back.spec.machine.mod64_slots, Some(false));
+        assert!(back.spec.machine.mod64_slots);
         assert_eq!((back.legs_total, back.legs_done), (2, 1));
         assert_eq!(back.micros.to_bits(), ckpt.micros.to_bits());
         assert_eq!(

@@ -5,8 +5,7 @@
 //! The pathology is *architecturally invisible* — every delivery still
 //! produces bit-identical results, just slower — which is exactly why it
 //! needs a health invariant rather than a correctness test. The hook rides
-//! in per-tenant through `MachineConfig::mod64_slots` (the old process-wide
-//! switch is deprecated: worker threads raced it).
+//! in per-tenant through `MachineConfig::mod64_slots`.
 
 use efex_fleet::{run_fleet, FleetConfig};
 use efex_mips::machine::MachineConfig;

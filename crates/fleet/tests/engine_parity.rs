@@ -1,35 +1,53 @@
-//! Fleet-level engine bit-exactness: the same fleet run under the
-//! interpreter and the superblock engine must produce identical simulated
-//! results — per-tenant `StatsSnapshot`s, simulated times, and the
+//! Fleet-level bit-exactness of the machine's execution accelerators: the
+//! same fleet run under the reference configuration (interpreter, decode
+//! cache on) and under every accelerator variant — the superblock engine,
+//! the decode cache off — must produce identical simulated results:
+//! per-tenant `StatsSnapshot`s, simulated times, and the
 //! thread-count-invariant aggregate fingerprint. Only host-side wall time
-//! (and the engines' own cache counters) may differ.
+//! (and the accelerators' own cache counters) may differ.
 
 use efex_fleet::{run_fleet, FleetConfig};
 use efex_mips::machine::{ExecEngine, MachineConfig};
 
 #[test]
-fn superblock_fleet_is_bit_exact_with_interpreter() {
+fn accelerators_are_bit_exact_with_the_reference() {
     let cfg = FleetConfig {
         tenants: 10, // every suite twice, distinct seeds
         threads: 2,
         ..FleetConfig::default()
     };
-    let interp = run_fleet(&cfg).expect("interpreter fleet");
-    let sb = run_fleet(&FleetConfig {
-        machine: MachineConfig::default().engine(ExecEngine::Superblock),
-        ..cfg
-    })
-    .expect("superblock fleet");
-
-    assert_eq!(
-        interp.fingerprint(),
-        sb.fingerprint(),
-        "engines must agree on every deterministic result"
-    );
-    for (a, b) in interp.tenants.iter().zip(&sb.tenants) {
-        assert_eq!(a.id, b.id);
-        assert_eq!(a.stats, b.stats, "tenant {} StatsSnapshot drifted", a.id);
-        assert_eq!(a.micros, b.micros, "tenant {} simulated time drifted", a.id);
+    let reference = run_fleet(&cfg).expect("reference fleet");
+    let superblock = MachineConfig::default().engine(ExecEngine::Superblock);
+    for (name, machine) in [
+        ("superblock", superblock),
+        (
+            "decode cache off",
+            MachineConfig::default().decode_cache(false),
+        ),
+        (
+            "superblock, decode cache off",
+            superblock.decode_cache(false),
+        ),
+    ] {
+        let variant = run_fleet(&FleetConfig { machine, ..cfg }).expect(name);
+        assert_eq!(
+            reference.fingerprint(),
+            variant.fingerprint(),
+            "{name}: must agree with the reference on every deterministic result"
+        );
+        for (a, b) in reference.tenants.iter().zip(&variant.tenants) {
+            assert_eq!(a.id, b.id);
+            assert_eq!(
+                a.stats, b.stats,
+                "{name}: tenant {} StatsSnapshot drifted",
+                a.id
+            );
+            assert_eq!(
+                a.micros, b.micros,
+                "{name}: tenant {} simulated time drifted",
+                a.id
+            );
+        }
     }
 }
 

@@ -1,71 +1,52 @@
-//! JSONL exposition: one self-describing JSON object per line, in the same
-//! hand-rolled style as the rest of the workspace (the build is offline —
-//! see `efex_trace::json`). Lines come in three types: `sample`,
-//! `histogram`, and `finding`, so a stream consumer can filter without a
-//! schema.
+//! JSONL exposition: one self-describing JSON object per line, each built
+//! as an `efex_trace::jsonval::Value` and written by its compact serializer.
+//! Lines come in three types: `sample`, `histogram`, and `finding`, so a
+//! stream consumer can filter without a schema.
 
-use efex_trace::json;
+use efex_trace::jsonval::Value;
 
 use crate::monitor::{HealthFinding, HealthMonitor};
-use crate::registry::Registry;
 
-fn sample_lines(out: &mut String, reg: &Registry) {
-    for s in reg.samples() {
-        let mut line = String::from("{");
-        json::field_str(&mut line, "type", "sample");
-        json::field_str(&mut line, "component", &s.component);
-        json::field_str(&mut line, "name", &s.name);
-        if let Some(t) = s.tenant {
-            json::field_u64(&mut line, "tenant", u64::from(t));
-        }
-        json::field_str(&mut line, "kind", s.kind.as_str());
-        json::field_u64(&mut line, "value", s.value);
-        json::close_object(&mut line);
-        out.push_str(&line);
-        out.push('\n');
-    }
-}
-
-fn histogram_lines(out: &mut String, reg: &Registry) {
-    for (name, h) in reg.histograms() {
-        let mut line = String::from("{");
-        json::field_str(&mut line, "type", "histogram");
-        json::field_str(&mut line, "name", name);
-        json::field_raw(&mut line, "histogram", &h.to_json());
-        json::close_object(&mut line);
-        out.push_str(&line);
-        out.push('\n');
-    }
-}
-
-/// Renders one finding as a single JSON line.
-pub fn finding_to_json(f: &HealthFinding) -> String {
-    let mut line = String::from("{");
-    json::field_str(&mut line, "type", "finding");
-    json::field_str(&mut line, "invariant", &f.invariant);
+fn finding_line(f: &HealthFinding) -> Value {
+    let mut line = Value::object()
+        .with("type", "finding")
+        .with("invariant", f.invariant.as_str());
     if let Some(t) = f.tenant {
-        json::field_u64(&mut line, "tenant", u64::from(t));
+        line = line.with("tenant", t);
     }
     if let Some(c) = f.cycles {
-        json::field_u64(&mut line, "cycles", c);
+        line = line.with("cycles", c);
     }
-    json::field_str(&mut line, "observed", &f.observed);
-    json::field_str(&mut line, "bound", &f.bound);
-    json::field_str(&mut line, "hint", &f.hint);
-    json::close_object(&mut line);
-    line
+    line.with("observed", f.observed.as_str())
+        .with("bound", f.bound.as_str())
+        .with("hint", f.hint.as_str())
 }
 
 /// Renders the whole monitor — samples, histograms, findings — as JSONL.
 pub fn to_jsonl(mon: &HealthMonitor) -> String {
-    let mut out = String::new();
-    sample_lines(&mut out, mon.registry_ref());
-    histogram_lines(&mut out, mon.registry_ref());
-    for f in mon.findings() {
-        out.push_str(&finding_to_json(f));
-        out.push('\n');
-    }
-    out
+    let reg = mon.registry_ref();
+    let samples = reg.samples().iter().map(|s| {
+        let mut line = Value::object()
+            .with("type", "sample")
+            .with("component", s.component.as_str())
+            .with("name", s.name.as_str());
+        if let Some(t) = s.tenant {
+            line = line.with("tenant", t);
+        }
+        line.with("kind", s.kind.as_str()).with("value", s.value)
+    });
+    let histograms = reg.histograms().iter().map(|(name, h)| {
+        Value::object()
+            .with("type", "histogram")
+            .with("name", name.as_str())
+            .with("histogram", h.to_value())
+    });
+    let findings = mon.findings().iter().map(finding_line);
+    samples
+        .chain(histograms)
+        .chain(findings)
+        .map(|line| line.to_string() + "\n")
+        .collect()
 }
 
 #[cfg(test)]

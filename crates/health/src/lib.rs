@@ -54,7 +54,7 @@ pub use budget::{
     fast_path_phase_budget, fast_path_published_budget, fast_path_total_budget, FAST_PATH_COMPONENT,
 };
 pub use invariant::{Check, Invariant, MetricRef, Scope, Violation, Warmup};
-pub use jsonl::{finding_to_json, to_jsonl};
+pub use jsonl::to_jsonl;
 pub use monitor::{HealthFinding, HealthMonitor};
 pub use prom::{registry_to_prometheus, to_prometheus};
 pub use registry::{MetricKind, Registry, Sample};

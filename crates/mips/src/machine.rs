@@ -305,10 +305,9 @@ pub struct MachineConfig {
     pub engine: ExecEngine,
     /// Whether the per-instruction decode cache starts enabled.
     pub decode_cache: bool,
-    /// Test-only: force the pathological mod-64 decode-cache slot hash on
-    /// (`Some(true)`) or off (`Some(false)`). `None` follows the deprecated
-    /// process-wide hook for back-compat with older canary harnesses.
-    pub mod64_slots: Option<bool>,
+    /// Test-only: use the pathological mod-64 decode-cache slot hash (the
+    /// health-plane canary re-introduces the historical aliasing bug with it).
+    pub mod64_slots: bool,
 }
 
 impl Default for MachineConfig {
@@ -316,7 +315,7 @@ impl Default for MachineConfig {
         MachineConfig {
             engine: ExecEngine::Interpreter,
             decode_cache: true,
-            mod64_slots: None,
+            mod64_slots: false,
         }
     }
 }
@@ -336,22 +335,18 @@ impl MachineConfig {
         self
     }
 
-    /// Returns the config with the mod-64 slot-hash override replaced.
+    /// Returns the config with the mod-64 slot-hash switch replaced.
     #[must_use]
     pub fn mod64_slots(mut self, on: bool) -> MachineConfig {
-        self.mod64_slots = Some(on);
+        self.mod64_slots = on;
         self
     }
 
     /// The config [`Machine::new`] uses: the calling thread's scoped
     /// override when one is active (see [`with_machine_config`]), else the
-    /// defaults (seeded from the deprecated process-wide shims so existing
-    /// A/B binaries keep working).
+    /// defaults.
     pub fn inherited() -> MachineConfig {
-        CONFIG_OVERRIDE.with(|c| c.get()).unwrap_or_else(|| {
-            #[allow(deprecated)]
-            MachineConfig::default().decode_cache(decode_cache_default())
-        })
+        CONFIG_OVERRIDE.with(|c| c.get()).unwrap_or_default()
     }
 }
 
@@ -376,47 +371,6 @@ pub fn with_machine_config<R>(cfg: MachineConfig, f: impl FnOnce() -> R) -> R {
     let prev = CONFIG_OVERRIDE.with(|c| c.replace(Some(cfg)));
     let _restore = Restore(prev);
     f()
-}
-
-/// Deprecated process-wide mod-64 slot-hash hook. Superseded by
-/// [`MachineConfig::mod64_slots`]; kept so older canary harnesses keep
-/// working. Only consulted at machine *construction* (when the config
-/// leaves `mod64_slots` unset), so mid-run toggles no longer race workers.
-static DECODE_CACHE_MOD64_SLOTS: std::sync::atomic::AtomicBool =
-    std::sync::atomic::AtomicBool::new(false);
-
-/// Arms (or disarms) the pathological mod-64 slot hash for machines built
-/// afterwards without an explicit [`MachineConfig::mod64_slots`].
-#[doc(hidden)]
-#[deprecated(note = "use MachineConfig::mod64_slots (per-machine, race-free)")]
-pub fn set_decode_cache_mod64_slots(on: bool) {
-    DECODE_CACHE_MOD64_SLOTS.store(on, std::sync::atomic::Ordering::Relaxed);
-}
-
-/// Whether the deprecated process-wide mod-64 hook is armed.
-#[doc(hidden)]
-#[deprecated(note = "use MachineConfig::mod64_slots (per-machine, race-free)")]
-pub fn decode_cache_mod64_slots() -> bool {
-    DECODE_CACHE_MOD64_SLOTS.load(std::sync::atomic::Ordering::Relaxed)
-}
-
-/// Deprecated process-wide decode-cache default. Superseded by
-/// [`MachineConfig::decode_cache`] plus [`with_machine_config`]; kept as a
-/// thin shim for existing A/B binaries. Read once per [`Machine::new`] when
-/// no scoped config is active.
-static DECODE_CACHE_DEFAULT: std::sync::atomic::AtomicBool =
-    std::sync::atomic::AtomicBool::new(true);
-
-/// Sets the decode-cache default newly-created machines inherit.
-#[deprecated(note = "use with_machine_config (per-thread, race-free)")]
-pub fn set_decode_cache_default(on: bool) {
-    DECODE_CACHE_DEFAULT.store(on, std::sync::atomic::Ordering::Relaxed);
-}
-
-/// The decode-cache default newly-created machines inherit.
-#[deprecated(note = "use with_machine_config (per-thread, race-free)")]
-pub fn decode_cache_default() -> bool {
-    DECODE_CACHE_DEFAULT.load(std::sync::atomic::Ordering::Relaxed)
 }
 
 /// Longest straight-line run one superblock may hold. Runs end at the first
@@ -562,8 +516,6 @@ impl Machine {
     /// assert_eq!(m.cycles(), 0);
     /// ```
     pub fn with_config(phys_bytes: usize, cfg: MachineConfig) -> Machine {
-        #[allow(deprecated)]
-        let mod64 = cfg.mod64_slots.unwrap_or_else(decode_cache_mod64_slots);
         Machine {
             cpu: Cpu::new(),
             cp0: Cp0::new(),
@@ -577,7 +529,7 @@ impl Machine {
             trace: None,
             dcache: std::array::from_fn(|_| None),
             dcache_enabled: cfg.decode_cache,
-            dcache_mod64: mod64,
+            dcache_mod64: cfg.mod64_slots,
             dcache_hits: 0,
             dcache_misses: 0,
             dcache_evictions: 0,

@@ -16,7 +16,8 @@
 //! converted from simulated cycles at the machine clock rate.
 
 use efex_mips::RegionSpan;
-use efex_trace::{json_escape, EventKind, TraceEvent};
+use efex_trace::jsonval::Value;
+use efex_trace::{EventKind, TraceEvent};
 
 /// Thread id used for lifecycle phase spans.
 pub const TID_LIFECYCLE: u32 = 1;
@@ -30,8 +31,8 @@ pub const TID_TENANT_BASE: u32 = 16;
 #[derive(Clone, Debug)]
 pub struct ChromeTrace {
     clock_mhz: f64,
-    /// Serialized trace events, in emission order.
-    events: Vec<String>,
+    /// Trace events, in emission order.
+    events: Vec<Value>,
 }
 
 impl ChromeTrace {
@@ -52,36 +53,42 @@ impl ChromeTrace {
         cycles as f64 / self.clock_mhz
     }
 
+    /// The fields every trace event starts with.
+    fn event(name: &str, ph: &str, tid: u32) -> Value {
+        Value::object()
+            .with("name", name)
+            .with("ph", ph)
+            .with("pid", 1u32)
+            .with("tid", tid)
+    }
+
     fn push_metadata(&mut self, name: &str, value: &str) {
-        self.events.push(format!(
-            "{{\"name\":\"{}\",\"ph\":\"M\",\"pid\":1,\"tid\":0,\"args\":{{\"name\":\"{}\"}}}}",
-            json_escape(name),
-            json_escape(value)
-        ));
+        self.events
+            .push(Self::event(name, "M", 0).with("args", Value::object().with("name", value)));
     }
 
     fn push_thread_name(&mut self, tid: u32, name: &str) {
-        self.events.push(format!(
-            "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":{tid},\
-             \"args\":{{\"name\":\"{}\"}}}}",
-            json_escape(name)
-        ));
+        self.events.push(
+            Self::event("thread_name", "M", tid).with("args", Value::object().with("name", name)),
+        );
     }
 
-    fn push_complete(&mut self, tid: u32, name: &str, ts_us: f64, dur_us: f64, args: &str) {
-        self.events.push(format!(
-            "{{\"name\":\"{}\",\"ph\":\"X\",\"pid\":1,\"tid\":{tid},\
-             \"ts\":{ts_us},\"dur\":{dur_us},\"args\":{args}}}",
-            json_escape(name)
-        ));
+    fn push_complete(&mut self, tid: u32, name: &str, ts_us: f64, dur_us: f64, args: Value) {
+        self.events.push(
+            Self::event(name, "X", tid)
+                .with("ts", ts_us)
+                .with("dur", dur_us)
+                .with("args", args),
+        );
     }
 
-    fn push_instant(&mut self, tid: u32, name: &str, ts_us: f64, args: &str) {
-        self.events.push(format!(
-            "{{\"name\":\"{}\",\"ph\":\"i\",\"pid\":1,\"tid\":{tid},\
-             \"ts\":{ts_us},\"s\":\"t\",\"args\":{args}}}",
-            json_escape(name)
-        ));
+    fn push_instant(&mut self, tid: u32, name: &str, ts_us: f64, args: Value) {
+        self.events.push(
+            Self::event(name, "i", tid)
+                .with("ts", ts_us)
+                .with("s", "t")
+                .with("args", args),
+        );
     }
 
     /// Folds a stream of lifecycle events (oldest → newest, as produced by
@@ -107,17 +114,18 @@ impl ChromeTrace {
         let mut handler_entered: Option<&TraceEvent> = None;
         let mut handler_returned: Option<&TraceEvent> = None;
         for ev in events {
-            let args = format!(
-                "{{\"path\":\"{}\",\"class\":\"{}\",\"pc\":\"{:#010x}\",\"vaddr\":\"{:#010x}\"}}",
-                ev.path, ev.class, ev.pc, ev.vaddr
-            );
+            let args = Value::object()
+                .with("path", ev.path.as_str())
+                .with("class", ev.class.as_str())
+                .with("pc", format!("{:#010x}", ev.pc))
+                .with("vaddr", format!("{:#010x}", ev.vaddr));
             match ev.kind {
                 EventKind::FaultRaised => {
                     self.push_instant(
                         tid,
                         &format!("fault:{}", ev.class),
                         self.us(ev.cycles),
-                        &args,
+                        args,
                     );
                     raised = Some(ev);
                     handler_entered = None;
@@ -130,7 +138,7 @@ impl ChromeTrace {
                             "deliver",
                             self.us(start.cycles),
                             self.us(ev.cycles.saturating_sub(start.cycles)),
-                            &args,
+                            args,
                         );
                     }
                     handler_entered = Some(ev);
@@ -142,7 +150,7 @@ impl ChromeTrace {
                             "handler",
                             self.us(start.cycles),
                             self.us(ev.cycles.saturating_sub(start.cycles)),
-                            &args,
+                            args,
                         );
                     }
                     handler_returned = Some(ev);
@@ -154,7 +162,7 @@ impl ChromeTrace {
                             "return",
                             self.us(start.cycles),
                             self.us(ev.cycles.saturating_sub(start.cycles)),
-                            &args,
+                            args,
                         );
                     }
                     raised = None;
@@ -169,13 +177,13 @@ impl ChromeTrace {
     /// Adds profiler region stays on their own thread row.
     pub fn push_profile_spans(&mut self, spans: &[RegionSpan]) {
         for s in spans {
-            let args = format!("{{\"instructions\":{}}}", s.instructions);
+            let args = Value::object().with("instructions", s.instructions);
             self.push_complete(
                 TID_REGIONS,
                 &s.name,
                 self.us(s.start_cycles),
                 self.us(s.cycles()),
-                &args,
+                args,
             );
         }
     }
@@ -190,18 +198,14 @@ impl ChromeTrace {
         self.events.is_empty()
     }
 
-    /// Serializes the document in JSON-object trace format.
+    /// The document in JSON-object trace format.
+    pub fn to_value(&self) -> Value {
+        Value::object().with("traceEvents", Value::Arr(self.events.clone()))
+    }
+
+    /// Serializes the document, one trace event per line.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"traceEvents\":[\n");
-        for (i, e) in self.events.iter().enumerate() {
-            out.push_str(e);
-            if i + 1 < self.events.len() {
-                out.push(',');
-            }
-            out.push('\n');
-        }
-        out.push_str("]}\n");
-        out
+        self.to_value().pretty(2) + "\n"
     }
 }
 

@@ -17,8 +17,9 @@
 //!   trace-event-format JSON, loadable in Perfetto / `chrome://tracing`.
 //! - [`flame`]: folded-stack output (`root;region weight`) for
 //!   `flamegraph.pl` / `inferno`, weighted by measured instruction counts.
-//! - [`jsonval`]: the minimal JSON parser backing `--check` and the exporter
-//!   validity tests (the build is offline; no `serde`).
+//! - [`jsonval`]: re-export of `efex_trace::jsonval`, the workspace's JSON
+//!   value type, writer and parser; every document this crate emits is built
+//!   as a `jsonval::Value`, and `--check` reads baselines back through it.
 //! - [`prom`]: a Prometheus text-format scraper, so the `efex-health`
 //!   exposition can be proven lossless by re-parsing it.
 //!
@@ -31,9 +32,10 @@
 pub mod check;
 pub mod chrome;
 pub mod flame;
-pub mod jsonval;
 pub mod prom;
 pub mod schema;
+
+pub use efex_trace::jsonval;
 
 pub use check::{compare, CheckReport, Status, DEFAULT_TOLERANCE};
 pub use chrome::ChromeTrace;

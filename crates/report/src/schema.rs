@@ -13,7 +13,6 @@
 
 use crate::jsonval::{self, Value};
 use std::collections::BTreeMap;
-use std::fmt;
 
 /// Current schema version; bumped when the format changes incompatibly.
 pub const BASELINE_VERSION: u64 = 1;
@@ -25,17 +24,6 @@ pub enum MetricValue {
     Int(u64),
     /// Derived quantity (microseconds, ratios).
     Float(f64),
-}
-
-impl fmt::Display for MetricValue {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            MetricValue::Int(v) => write!(f, "{v}"),
-            // `{}` on f64 is the shortest representation that parses back to
-            // the same bits, so exact float comparison survives a round-trip.
-            MetricValue::Float(v) => write!(f, "{v}"),
-        }
-    }
 }
 
 /// One named measurement.
@@ -108,37 +96,33 @@ impl Baseline {
         self.metrics.iter().find(|m| m.name == name)
     }
 
+    /// The baseline as a JSON document.
+    pub fn to_value(&self) -> Value {
+        let provenance = self
+            .provenance
+            .iter()
+            .map(|(k, v)| (k.clone(), Value::from(v.as_str())));
+        let metrics = self.metrics.iter().map(|m| {
+            let value = match m.value {
+                MetricValue::Int(v) => Value::U64(v),
+                MetricValue::Float(v) => Value::F64(v),
+            };
+            Value::object()
+                .with("name", m.name.as_str())
+                .with("value", value)
+                .with("unit", m.unit.as_str())
+                .with("exact", m.exact)
+        });
+        Value::object()
+            .with("version", self.version)
+            .with("provenance", Value::Obj(provenance.collect()))
+            .with("metrics", metrics.collect::<Value>())
+    }
+
     /// Serializes the baseline. One metric per line so that diffs against the
     /// committed file read metric-by-metric.
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        out.push_str(&format!("  \"version\": {},\n", self.version));
-        out.push_str("  \"provenance\": {\n");
-        let n = self.provenance.len();
-        for (i, (k, v)) in self.provenance.iter().enumerate() {
-            let comma = if i + 1 < n { "," } else { "" };
-            out.push_str(&format!(
-                "    \"{}\": \"{}\"{comma}\n",
-                efex_trace::json_escape(k),
-                efex_trace::json_escape(v)
-            ));
-        }
-        out.push_str("  },\n");
-        out.push_str("  \"metrics\": [\n");
-        let n = self.metrics.len();
-        for (i, m) in self.metrics.iter().enumerate() {
-            let comma = if i + 1 < n { "," } else { "" };
-            out.push_str(&format!(
-                "    {{\"name\":\"{}\",\"value\":{},\"unit\":\"{}\",\"exact\":{}}}{comma}\n",
-                efex_trace::json_escape(&m.name),
-                m.value,
-                efex_trace::json_escape(&m.unit),
-                m.exact
-            ));
-        }
-        out.push_str("  ]\n}\n");
-        out
+        self.to_value().pretty(2) + "\n"
     }
 
     /// Parses a baseline previously written by [`Baseline::to_json`].

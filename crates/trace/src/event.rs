@@ -1,5 +1,6 @@
 //! Exception lifecycle events and the fixed-capacity ring that stores them.
 
+use crate::jsonval::Value;
 use crate::snapshot::{Snapshot, StatsSnapshot};
 use std::fmt;
 
@@ -186,21 +187,17 @@ pub struct TraceEvent {
 }
 
 impl TraceEvent {
-    /// Renders the event as a single JSON object (one line, no trailing
-    /// newline).
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"seq\":{},\"cycles\":{},\"event\":\"{}\",\"path\":\"{}\",\
-             \"class\":\"{}\",\"exc_code\":{},\"vaddr\":\"{:#010x}\",\"pc\":\"{:#010x}\"}}",
-            self.seq,
-            self.cycles,
-            self.kind,
-            self.path,
-            self.class,
-            self.exc_code,
-            self.vaddr,
-            self.pc,
-        )
+    /// The event as a JSON object; addresses are `0x`-prefixed hex strings.
+    pub fn to_value(&self) -> Value {
+        Value::object()
+            .with("seq", self.seq)
+            .with("cycles", self.cycles)
+            .with("event", self.kind.as_str())
+            .with("path", self.path.as_str())
+            .with("class", self.class.as_str())
+            .with("exc_code", self.exc_code)
+            .with("vaddr", format!("{:#010x}", self.vaddr))
+            .with("pc", format!("{:#010x}", self.pc))
     }
 }
 
@@ -462,7 +459,7 @@ mod tests {
             vaddr: 0x40_2000,
             pc: 0x40_0104,
         };
-        let j = e.to_json();
+        let j = e.to_value().to_string();
         assert!(j.starts_with('{') && j.ends_with('}'));
         assert!(j.contains("\"event\":\"handler-entered\""));
         assert!(j.contains("\"path\":\"fast-user\""));

@@ -1,6 +1,6 @@
 //! Log2-bucketed cycle histogram.
 
-use crate::json;
+use crate::jsonval::Value;
 
 /// Number of buckets: one for zero plus one per power of two of `u64`.
 pub const BUCKETS: usize = 65;
@@ -195,28 +195,24 @@ impl Histogram {
         }
     }
 
-    /// JSON object: summary stats plus the non-empty buckets.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        json::field_u64(&mut out, "count", self.count);
-        json::field_u64(&mut out, "sum", self.sum);
-        json::field_u64(&mut out, "min", self.min().unwrap_or(0));
-        json::field_u64(&mut out, "max", self.max().unwrap_or(0));
-        json::field_f64(&mut out, "mean", self.mean());
-        json::field_u64(&mut out, "p50", self.p50().unwrap_or(0));
-        json::field_u64(&mut out, "p90", self.p90().unwrap_or(0));
-        json::field_u64(&mut out, "p99", self.p99().unwrap_or(0));
-        out.push_str("\"buckets\":[");
-        let mut first = true;
-        for (lo, hi, c) in self.nonzero_buckets() {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            out.push_str(&format!("[{lo},{hi},{c}]"));
-        }
-        out.push_str("]}");
-        out
+    /// JSON object: summary stats plus the non-empty buckets as
+    /// `[lo, hi, count]` triples.
+    pub fn to_value(&self) -> Value {
+        Value::object()
+            .with("count", self.count)
+            .with("sum", self.sum)
+            .with("min", self.min().unwrap_or(0))
+            .with("max", self.max().unwrap_or(0))
+            .with("mean", self.mean())
+            .with("p50", self.p50().unwrap_or(0))
+            .with("p90", self.p90().unwrap_or(0))
+            .with("p99", self.p99().unwrap_or(0))
+            .with(
+                "buckets",
+                self.nonzero_buckets()
+                    .map(|(lo, hi, c)| Value::from_iter([lo, hi, c]))
+                    .collect::<Value>(),
+            )
     }
 }
 
@@ -517,9 +513,9 @@ mod tests {
         let mut h = Histogram::new();
         h.record(125);
         h.record(75);
-        let j = h.to_json();
+        let j = h.to_value().to_string();
         assert!(j.contains("\"count\":2"));
-        assert!(j.contains("\"mean\":100"));
+        assert!(j.contains("\"mean\":100.0"));
         assert!(
             j.contains("[64,128,2]"),
             "both samples share bucket [64,128): {j}"

@@ -1,56 +1,89 @@
-//! A minimal recursive-descent JSON parser.
+//! The workspace's JSON: one value type, one writer, one parser.
 //!
-//! The build environment is offline (no `serde`), and the repo both emits
-//! and now *consumes* JSON: `--check` reads a committed baseline back, and
-//! the exporter tests validate that every emitted document actually parses.
-//! The parser accepts exactly RFC 8259 JSON; numbers are held as `f64`
-//! (every value this workspace writes — cycle counts, microseconds — is far
-//! below 2^53, so integers round-trip exactly).
+//! The build environment is offline (no `serde`), so this module owns the
+//! JSON text format. Every exporter — lifecycle events and metrics, stats
+//! snapshots, baselines, Chrome traces, health JSONL, lint output — builds a
+//! [`Value`] and serializes it once, through [`fmt::Display`] (compact, one
+//! line) or [`Value::pretty`] (outer levels one member per line). `--check`
+//! and the tests read documents back with [`parse`].
+//!
+//! Three rules make writing then parsing return the input unchanged:
+//!
+//! - **Integers are exact.** A non-negative integer is a [`Value::U64`],
+//!   written as its decimal digits and parsed back without passing through
+//!   `f64`, so counters above 2^53 survive.
+//! - **Floats stay floats.** A finite [`Value::F64`] is written in Rust's
+//!   shortest round-trip form, which always carries a `.` or an exponent
+//!   (`2.0`, `1e-7`), so it parses back to the same bits and variant.
+//!   Non-finite floats have no JSON spelling: the writer emits `null`.
+//! - **Objects are ordered lists.** Members keep insertion order and
+//!   repeated keys, so a snapshot that names one counter twice keeps both in
+//!   its text (a sorted, de-duplicating map would silently drop one).
 
-use std::collections::BTreeMap;
-use std::fmt;
+use std::fmt::{self, Write};
 
-/// A parsed JSON value.
+/// A JSON value.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Value {
     /// JSON `null`.
     Null,
     /// `true` or `false`.
     Bool(bool),
-    /// Any JSON number, held as `f64`.
-    Num(f64),
+    /// A non-negative integer, exact over the whole `u64` range.
+    U64(u64),
+    /// Any other number: negative, fractional, or written with an exponent.
+    F64(f64),
     /// A string.
     Str(String),
     /// An array.
     Arr(Vec<Value>),
-    /// Object; `BTreeMap` because none of our consumers depend on source
-    /// order and deterministic iteration keeps reports stable.
-    Obj(BTreeMap<String, Value>),
+    /// An object: members in order, repeated keys kept.
+    Obj(Vec<(String, Value)>),
 }
 
 impl Value {
-    /// Member lookup on an object.
-    pub fn get(&self, key: &str) -> Option<&Value> {
-        match self {
-            Value::Obj(m) => m.get(key),
-            _ => None,
+    /// An empty object, to be filled with [`Value::with`].
+    pub fn object() -> Value {
+        Value::Obj(Vec::new())
+    }
+
+    /// Appends one member to an object (builder-style).
+    ///
+    /// # Panics
+    ///
+    /// When `self` is not an object.
+    #[must_use]
+    pub fn with(mut self, key: impl Into<String>, value: impl Into<Value>) -> Value {
+        match &mut self {
+            Value::Obj(members) => members.push((key.into(), value.into())),
+            other => panic!("Value::with on a non-object {other:?}"),
         }
+        self
+    }
+
+    /// Member lookup on an object (the first member with that key).
+    pub fn get(&self, key: &str) -> Option<&Value> {
+        self.as_object()?
+            .iter()
+            .find(|(k, _)| k == key)
+            .map(|(_, v)| v)
     }
 
     /// The value as a number.
     pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Value::Num(n) => Some(*n),
+        match *self {
+            Value::U64(n) => Some(n as f64),
+            Value::F64(x) => Some(x),
             _ => None,
         }
     }
 
-    /// The value as an exact `u64` (fails on negatives and fractions).
+    /// The value as an exact `u64` (fails on negatives and fractions, and
+    /// on floats too large to be exact integers).
     pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            Value::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= 2f64.powi(53) => {
-                Some(*n as u64)
-            }
+        match *self {
+            Value::U64(n) => Some(n),
+            Value::F64(x) if x >= 0.0 && x.fract() == 0.0 && x <= 2f64.powi(53) => Some(x as u64),
             _ => None,
         }
     }
@@ -71,8 +104,8 @@ impl Value {
         }
     }
 
-    /// The value as an object map.
-    pub fn as_object(&self) -> Option<&BTreeMap<String, Value>> {
+    /// The value's object members, in order.
+    pub fn as_object(&self) -> Option<&[(String, Value)]> {
         match self {
             Value::Obj(m) => Some(m),
             _ => None,
@@ -81,11 +114,149 @@ impl Value {
 
     /// The value as a boolean.
     pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
+        match *self {
+            Value::Bool(b) => Some(b),
             _ => None,
         }
     }
+
+    /// The JSON text with the outer `depth` levels of non-empty arrays and
+    /// objects laid out one member per line (two-space indent, `": "` after
+    /// keys) and everything deeper compact. `pretty(0)` equals the compact
+    /// [`fmt::Display`] form. No trailing newline.
+    pub fn pretty(&self, depth: usize) -> String {
+        let mut out = String::new();
+        write_value(&mut out, self, depth, 0).expect("writing to a String cannot fail");
+        out
+    }
+}
+
+/// The compact (single-line) JSON text.
+impl fmt::Display for Value {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write_value(f, self, 0, 0)
+    }
+}
+
+impl From<bool> for Value {
+    fn from(b: bool) -> Value {
+        Value::Bool(b)
+    }
+}
+
+macro_rules! from_unsigned {
+    ($($t:ty),*) => {$(
+        impl From<$t> for Value {
+            fn from(n: $t) -> Value {
+                Value::U64(n as u64)
+            }
+        }
+    )*};
+}
+from_unsigned!(u8, u32, u64, usize);
+
+impl From<f64> for Value {
+    fn from(x: f64) -> Value {
+        Value::F64(x)
+    }
+}
+
+impl From<&str> for Value {
+    fn from(s: &str) -> Value {
+        Value::Str(s.to_string())
+    }
+}
+
+impl From<String> for Value {
+    fn from(s: String) -> Value {
+        Value::Str(s)
+    }
+}
+
+/// `None` is `null`.
+impl<T: Into<Value>> From<Option<T>> for Value {
+    fn from(v: Option<T>) -> Value {
+        v.map_or(Value::Null, Into::into)
+    }
+}
+
+/// Collects into an array.
+impl<T: Into<Value>> FromIterator<T> for Value {
+    fn from_iter<I: IntoIterator<Item = T>>(iter: I) -> Value {
+        Value::Arr(iter.into_iter().map(Into::into).collect())
+    }
+}
+
+/// The writer. `expand` counts how many more container levels are laid out
+/// one member per line; `indent` is the current line's indent in spaces.
+fn write_value(out: &mut impl Write, v: &Value, expand: usize, indent: usize) -> fmt::Result {
+    match v {
+        Value::Null => out.write_str("null"),
+        Value::Bool(b) => write!(out, "{b}"),
+        Value::U64(n) => write!(out, "{n}"),
+        // `{:?}` is the shortest text that parses back to the same bits,
+        // and always carries a `.` or an exponent.
+        Value::F64(x) if x.is_finite() => write!(out, "{x:?}"),
+        Value::F64(_) => out.write_str("null"),
+        Value::Str(s) => write_str(out, s),
+        Value::Arr(items) => {
+            write_container(out, "[]", items.iter().map(|v| (None, v)), expand, indent)
+        }
+        Value::Obj(members) => write_container(
+            out,
+            "{}",
+            members.iter().map(|(k, v)| (Some(k.as_str()), v)),
+            expand,
+            indent,
+        ),
+    }
+}
+
+fn write_container<'a>(
+    out: &mut impl Write,
+    brackets: &str,
+    members: impl ExactSizeIterator<Item = (Option<&'a str>, &'a Value)>,
+    expand: usize,
+    indent: usize,
+) -> fmt::Result {
+    let (open, close) = brackets.split_at(1);
+    let broken = expand > 0 && members.len() > 0;
+    out.write_str(open)?;
+    for (i, (key, v)) in members.enumerate() {
+        if i > 0 {
+            out.write_char(',')?;
+        }
+        if broken {
+            write!(out, "\n{:1$}", "", indent + 2)?;
+        }
+        if let Some(key) = key {
+            write_str(out, key)?;
+            out.write_str(if broken { ": " } else { ":" })?;
+        }
+        write_value(out, v, expand.saturating_sub(1), indent + 2)?;
+    }
+    if broken {
+        write!(out, "\n{:1$}", "", indent)?;
+    }
+    out.write_str(close)
+}
+
+/// The one JSON string-escape routine: quote, backslash and the C0 control
+/// characters are escaped; everything else is written as UTF-8.
+fn write_str(out: &mut impl Write, s: &str) -> fmt::Result {
+    out.write_char('"')?;
+    for c in s.chars() {
+        match c {
+            '"' => out.write_str("\\\"")?,
+            '\\' => out.write_str("\\\\")?,
+            '\n' => out.write_str("\\n")?,
+            '\r' => out.write_str("\\r")?,
+            '\t' => out.write_str("\\t")?,
+            c if (c as u32) < 0x20 => write!(out, "\\u{:04x}", c as u32)?,
+            c => out.write_char(c)?,
+        }
+    }
+    out.write_char('"')
 }
 
 /// Parse failure: a message and the byte offset it occurred at.
@@ -184,11 +355,11 @@ impl Parser<'_> {
 
     fn object(&mut self) -> Result<Value, ParseError> {
         self.expect(b'{')?;
-        let mut map = BTreeMap::new();
+        let mut members = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.pos += 1;
-            return Ok(Value::Obj(map));
+            return Ok(Value::Obj(members));
         }
         loop {
             self.skip_ws();
@@ -196,12 +367,11 @@ impl Parser<'_> {
             self.skip_ws();
             self.expect(b':')?;
             self.skip_ws();
-            let val = self.value()?;
-            map.insert(key, val);
+            members.push((key, self.value()?));
             self.skip_ws();
             match self.bump() {
                 Some(b',') => {}
-                Some(b'}') => return Ok(Value::Obj(map)),
+                Some(b'}') => return Ok(Value::Obj(members)),
                 _ => return Err(self.err("expected ',' or '}' in object")),
             }
         }
@@ -299,6 +469,9 @@ impl Parser<'_> {
         Ok(v)
     }
 
+    /// A plain digit string that fits is a [`Value::U64`]; anything with a
+    /// sign, a fraction or an exponent (or too large for `u64`) is a
+    /// [`Value::F64`].
     fn number(&mut self) -> Result<Value, ParseError> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
@@ -323,8 +496,11 @@ impl Parser<'_> {
             }
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("digits are ASCII");
+        if let Ok(n) = text.parse::<u64>() {
+            return Ok(Value::U64(n));
+        }
         text.parse::<f64>()
-            .map(Value::Num)
+            .map(Value::F64)
             .map_err(|_| self.err("invalid number"))
     }
 }
@@ -337,7 +513,8 @@ mod tests {
     fn parses_scalars() {
         assert_eq!(parse("null").unwrap(), Value::Null);
         assert_eq!(parse("true").unwrap(), Value::Bool(true));
-        assert_eq!(parse(" -12.5e1 ").unwrap(), Value::Num(-125.0));
+        assert_eq!(parse(" -12.5e1 ").unwrap(), Value::F64(-125.0));
+        assert_eq!(parse("7").unwrap(), Value::U64(7));
         assert_eq!(parse("\"hi\"").unwrap(), Value::Str("hi".into()));
     }
 
@@ -383,6 +560,10 @@ mod tests {
         assert_eq!(parse("12345").unwrap().as_u64(), Some(12345));
         assert_eq!(parse("12.5").unwrap().as_u64(), None);
         assert_eq!(parse("-3").unwrap().as_u64(), None);
+        assert_eq!(
+            parse(&u64::MAX.to_string()).unwrap().as_u64(),
+            Some(u64::MAX)
+        );
     }
 
     #[test]
@@ -390,6 +571,38 @@ mod tests {
         assert_eq!(
             parse(r#""\ud83d\ude00""#).unwrap().as_str(),
             Some("\u{1f600}")
+        );
+    }
+
+    #[test]
+    fn objects_keep_order_and_repeated_keys() {
+        let v = parse(r#"{"b":1,"a":2,"b":3}"#).unwrap();
+        let keys: Vec<&str> = v
+            .as_object()
+            .unwrap()
+            .iter()
+            .map(|(k, _)| k.as_str())
+            .collect();
+        assert_eq!(keys, ["b", "a", "b"]);
+        assert_eq!(v.get("b").and_then(Value::as_u64), Some(1), "first wins");
+        assert_eq!(v.to_string(), r#"{"b":1,"a":2,"b":3}"#);
+    }
+
+    #[test]
+    fn layouts() {
+        let v = Value::object()
+            .with("n", 1u64)
+            .with("x", 2.0)
+            .with("bad", f64::NAN)
+            .with("list", Value::Arr(vec![Value::object().with("k", "v")]))
+            .with("empty", Value::Arr(Vec::new()));
+        assert_eq!(
+            v.to_string(),
+            r#"{"n":1,"x":2.0,"bad":null,"list":[{"k":"v"}],"empty":[]}"#
+        );
+        assert_eq!(
+            v.pretty(2),
+            "{\n  \"n\": 1,\n  \"x\": 2.0,\n  \"bad\": null,\n  \"list\": [\n    {\"k\":\"v\"}\n  ],\n  \"empty\": []\n}"
         );
     }
 }

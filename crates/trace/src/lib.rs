@@ -15,11 +15,14 @@
 //! - [`TraceSink`]: the emission interface, with [`NullSink`] (the zero-cost
 //!   default), [`RingSink`] (in-memory ring), and [`JsonLinesSink`] (one JSON
 //!   object per line to any writer).
+//! - [`jsonval`]: the workspace's only JSON value type, writer and parser.
+//!   Every exporter in the workspace builds a [`jsonval::Value`] and
+//!   serializes it through this module (the build environment is offline;
+//!   see `vendor/`).
 //!
 //! The crate is self-contained — it sits below `efex-simos` and `efex-core`
 //! in the dependency graph so both the simulated kernel and the host-level
-//! runtime can emit into the same sink. Serialization is hand-rolled JSON
-//! (the build environment is offline; see `vendor/`).
+//! runtime can emit into the same sink.
 //!
 //! ## Example
 //!
@@ -46,10 +49,7 @@
 
 mod event;
 mod histogram;
-/// Hand-rolled JSON append helpers (the build is offline; no serde). Public
-/// so the sibling crates that emit JSON shapes (e.g. `efex-health`) share
-/// one escaping/formatting implementation.
-pub mod json;
+pub mod jsonval;
 mod metrics;
 mod sink;
 mod snapshot;
@@ -59,5 +59,3 @@ pub use histogram::Histogram;
 pub use metrics::{KindMetrics, Metrics};
 pub use sink::{null_sink, JsonLinesSink, NullSink, RingSink, SharedSink, TraceSink};
 pub use snapshot::{Snapshot, StatsSnapshot};
-
-pub use json::escape as json_escape;

@@ -3,7 +3,7 @@
 
 use crate::event::{FaultClass, TracePath};
 use crate::histogram::Histogram;
-use crate::json;
+use crate::jsonval::Value;
 use crate::snapshot::{Snapshot, StatsSnapshot};
 use std::collections::BTreeMap;
 
@@ -49,24 +49,20 @@ impl KindMetrics {
         }
     }
 
-    /// Serializes the cell as a JSON object.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        json::field_u64(&mut out, "count", self.count);
+    /// The cell as a JSON object.
+    pub fn to_value(&self) -> Value {
+        let mut out = Value::object().with("count", self.count);
         if self.degraded > 0 {
-            json::field_u64(&mut out, "degraded", self.degraded);
+            out = out.with("degraded", self.degraded);
         }
-        json::field_raw(&mut out, "deliver_cycles", &self.deliver.to_json());
-        json::field_raw(&mut out, "handler_cycles", &self.handler.to_json());
-        json::field_raw(&mut out, "return_cycles", &self.ret.to_json());
-        let mut pages = String::from("{");
-        for (page, n) in &self.pages {
-            json::field_u64(&mut pages, &format!("{:#07x}", page), *n);
-        }
-        json::close_object(&mut pages);
-        json::field_raw(&mut out, "faults_per_page", &pages);
-        json::close_object(&mut out);
-        out
+        let pages = self
+            .pages
+            .iter()
+            .map(|(page, &n)| (format!("{page:#07x}"), Value::from(n)));
+        out.with("deliver_cycles", self.deliver.to_value())
+            .with("handler_cycles", self.handler.to_value())
+            .with("return_cycles", self.ret.to_value())
+            .with("faults_per_page", Value::Obj(pages.collect()))
     }
 }
 
@@ -167,21 +163,20 @@ impl Metrics {
 
     /// JSON object `{"<path>":{"<class>":{…}}}` containing only non-empty
     /// cells (paths with no traffic appear as empty objects).
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        for &path in &TracePath::ALL {
-            let mut per_path = String::from("{");
-            for &class in &FaultClass::ALL {
+    pub fn to_value(&self) -> Value {
+        let per_path = |path| {
+            let cells = FaultClass::ALL.iter().filter_map(|&class| {
                 let k = self.kind(path, class);
-                if !k.is_empty() {
-                    json::field_raw(&mut per_path, class.as_str(), &k.to_json());
-                }
-            }
-            json::close_object(&mut per_path);
-            json::field_raw(&mut out, path.as_str(), &per_path);
-        }
-        json::close_object(&mut out);
-        out
+                (!k.is_empty()).then(|| (class.as_str().to_string(), k.to_value()))
+            });
+            Value::Obj(cells.collect())
+        };
+        Value::Obj(
+            TracePath::ALL
+                .iter()
+                .map(|&path| (path.as_str().to_string(), per_path(path)))
+                .collect(),
+        )
     }
 }
 
@@ -264,7 +259,7 @@ mod tests {
     fn json_nests_path_then_class() {
         let mut m = Metrics::new();
         m.record_deliver(TracePath::HardwareVectored, FaultClass::Subpage, 190);
-        let j = m.to_json();
+        let j = m.to_value().to_string();
         assert!(j.contains("\"hardware-vectored\":{\"subpage\":{"), "{j}");
         assert!(j.contains("\"deliver_cycles\""));
         // Quiet paths still appear, as empty objects.
@@ -310,7 +305,7 @@ mod tests {
         let mut b = Metrics::new();
         b.merge(&m);
         assert_eq!(b.degraded_deliveries(), 3);
-        assert!(b.to_json().contains("\"degraded\":2"));
+        assert!(b.to_value().to_string().contains("\"degraded\":2"));
     }
 
     #[test]

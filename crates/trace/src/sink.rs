@@ -163,7 +163,7 @@ impl<W: Write> TraceSink for JsonLinesSink<W> {
         ev.seq = *seq;
         *seq += 1;
         // A full pipe is not the simulation's problem; drop the line.
-        let _ = writeln!(self.writer.borrow_mut(), "{}", ev.to_json());
+        let _ = writeln!(self.writer.borrow_mut(), "{}", ev.to_value());
     }
 
     fn flush(&self) {

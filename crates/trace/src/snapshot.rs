@@ -6,7 +6,7 @@
 //! single shape ([`StatsSnapshot`]) to consume, instead of matching on each
 //! struct's fields.
 
-use crate::json;
+use crate::jsonval::Value;
 
 /// A flat, ordered set of named counters from one component.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -68,17 +68,15 @@ impl StatsSnapshot {
     }
 
     /// `{"component":"gc","counters":{"minor_collections":3,…}}`
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        json::field_str(&mut out, "component", self.component);
-        let mut inner = String::from("{");
-        for (name, value) in &self.counters {
-            json::field_u64(&mut inner, name, *value);
-        }
-        json::close_object(&mut inner);
-        json::field_raw(&mut out, "counters", &inner);
-        json::close_object(&mut out);
-        out
+    /// Counters keep their order, and a repeated name stays repeated.
+    pub fn to_value(&self) -> Value {
+        let counters = self
+            .counters
+            .iter()
+            .map(|(name, value)| (name.clone(), Value::from(*value)));
+        Value::object()
+            .with("component", self.component)
+            .with("counters", Value::Obj(counters.collect()))
     }
 }
 
@@ -158,7 +156,7 @@ mod tests {
         }
         .snapshot();
         assert_eq!(
-            s.to_json(),
+            s.to_value().to_string(),
             "{\"component\":\"demo\",\"counters\":{\"faults\":3,\"retries\":1}}"
         );
     }

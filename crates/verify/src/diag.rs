@@ -254,44 +254,6 @@ impl Report {
     }
 }
 
-/// Escapes `s` for inclusion in a JSON string literal (RFC 8259: quote,
-/// backslash, and control characters).
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-impl Finding {
-    /// The finding as a JSON object (one line, no trailing newline), for
-    /// the machine-readable `lint --json` output.
-    pub fn to_json(&self) -> String {
-        let line = match self.line {
-            Some(n) => n.to_string(),
-            None => "null".to_string(),
-        };
-        format!(
-            "{{\"lint\":\"{}\",\"addr\":{},\"location\":\"{}\",\"line\":{},\"message\":\"{}\",\"context\":\"{}\"}}",
-            self.lint.code(),
-            self.addr,
-            json_escape(&self.location),
-            line,
-            json_escape(&self.message),
-            json_escape(&self.context),
-        )
-    }
-}
-
 /// The per-instruction cost charged by the simulator's single-issue model
 /// (base + memory + multiply/divide/TLB latencies) — the static side of the
 /// cycle bound.

@@ -33,6 +33,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             ev.pc
         );
     }
-    println!("\nmetrics:\n{}", sys.trace_metrics().to_json());
+    println!("\nmetrics:\n{}", sys.trace_metrics().to_value());
     Ok(())
 }
