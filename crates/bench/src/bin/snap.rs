@@ -4,8 +4,10 @@
 //! snap                      run every check below
 //! snap --rows               Table 2 delivery rows: snapshot each row's
 //!                           guest mid-run, restore through the wire into
-//!                           a fresh system, resume; final state must be
-//!                           bit-exact under both engines
+//!                           a system that already ran another row's guest
+//!                           to completion, resume; final registers and
+//!                           physical memory must be bit-exact under both
+//!                           engines
 //! snap --tenants            one tenant workload per app crate: checkpoint
 //!                           mid-suite, resume off the wire; merged report
 //!                           must match the uninterrupted run
@@ -94,12 +96,15 @@ fn finish(sys: &mut System) -> Result<(u64, RunOutcome), String> {
 }
 
 /// Snapshot each Table 2 row mid-run, restore through the wire, resume;
-/// the resumed run's final (digest, cycles, outcome) must equal the
-/// uninterrupted run's, under both engines.
+/// the resumed run's final (digest, cycles, outcome) and non-zero physical
+/// pages must equal the uninterrupted run's, under both engines. The
+/// receiver is not fresh: built for the row's delivery path, it first runs
+/// the next row's guest to completion, so the restore has to clear pages
+/// the receiver wrote that the snapshot does not hold.
 fn check_rows() -> Result<bool, String> {
     let mut ok = true;
     for engine in [ExecEngine::Interpreter, ExecEngine::Superblock] {
-        for &(path, kind) in ROWS {
+        for (i, &(path, kind)) in ROWS.iter().enumerate() {
             let mut a = boot(path, engine)?;
             load_row(&mut a, path, kind)?;
             let (steps, a_out) = finish(&mut a)?;
@@ -113,15 +118,25 @@ fn check_rows() -> Result<bool, String> {
             }
             let bytes = b.snapshot().to_bytes();
             let snap = SystemSnapshot::from_bytes(&bytes).map_err(|e| format!("decode: {e}"))?;
+            let (donor_path, donor_kind) = ROWS[(i + 1) % ROWS.len()];
             let mut c = boot(path, engine)?;
+            load_row(&mut c, donor_path, donor_kind)?;
+            let (_, donor_out) = finish(&mut c)?;
+            if donor_out != RunOutcome::Exited(0) {
+                return Err(format!(
+                    "{donor_path} {donor_kind:?} receiver: {donor_out:?}"
+                ));
+            }
             c.restore(&snap).map_err(|e| format!("restore: {e}"))?;
             let (_, c_out) = finish(&mut c)?;
             let c_m = c.kernel().machine();
             let c_fp = (c_m.step_digest(), c_m.cycles());
-            let row_ok = c_fp == a_fp && c_out == a_out;
+            let row_ok =
+                c_fp == a_fp && c_out == a_out && c_m.snapshot().pages == a_m.snapshot().pages;
             ok &= row_ok;
             println!(
-                "snap: {engine:?} {path} {kind:?}: {} bytes at step {}, resume {}",
+                "snap: {engine:?} {path} {kind:?}: {} bytes at step {}, resume over \
+                 {donor_path} {donor_kind:?} {}",
                 bytes.len(),
                 steps / 2,
                 if row_ok { "bit-exact" } else { "DIVERGED" },

@@ -716,23 +716,27 @@ impl Machine {
     /// [`crate::snapshot::MachineState`]: registers, CP0, every TLB slot
     /// (empty-slot identity preserved) plus the generation counter, the
     /// pending delay-slot flag, cycle/instret/exception counters, and the
-    /// non-zero pages of physical memory (sparse). Host-side observability —
+    /// non-zero pages of physical memory (sparse). Only pages written since
+    /// the machine was built ([`Memory::written_pages`]) are read: every
+    /// other page is zero by construction, so capture costs O(pages ever
+    /// written), not O(physical memory). Host-side observability —
     /// profiler, trace hooks, decode/superblock caches and their counters —
     /// is deliberately excluded: it is not architectural state, and the
     /// caches are rebuilt on demand after a restore.
     pub fn snapshot(&self) -> crate::snapshot::MachineState {
         let mem_size = self.mem.size();
         let mut pages = Vec::new();
-        let mut paddr = 0u32;
-        while (paddr as usize) < mem_size {
-            let page = self
+        for page_idx in self.mem.written_pages() {
+            let (paddr, len) = self.page_span(page_idx);
+            let bytes = self
                 .mem
-                .read_bytes(paddr, crate::snapshot::SNAP_PAGE)
-                .expect("page within physical memory");
-            if page.iter().any(|&b| b != 0) {
-                pages.push((paddr >> 12, page.to_vec()));
+                .read_bytes(paddr, len)
+                .expect("written page within physical memory");
+            if bytes.iter().any(|&b| b != 0) {
+                let mut page = bytes.to_vec();
+                page.resize(crate::snapshot::SNAP_PAGE, 0);
+                pages.push((page_idx, page));
             }
-            paddr += crate::snapshot::SNAP_PAGE as u32;
         }
         crate::snapshot::MachineState {
             regs: self.cpu.regs(),
@@ -760,14 +764,17 @@ impl Machine {
     /// vice versa, and both resume bit-exact. Both instruction caches are
     /// dropped: their tags reference the *receiver's* pre-restore TLB
     /// generation and page write-versions, and memory is rewritten below
-    /// them. Memory restore goes through the normal write path, so page
-    /// write-version counters advance and any text cached by observers of
-    /// this memory is invalidated, exactly as a guest store would.
+    /// them. Memory restore zero-fills the receiver's written pages
+    /// ([`Memory::written_pages`]; every other page is already zero), then
+    /// writes the snapshot's pages, both through the normal write path: every
+    /// page whose content may change has its write-version advanced, so any
+    /// text cached by observers of this memory is invalidated, exactly as a
+    /// guest store would. Pages that were zero and stay zero are untouched.
     ///
     /// # Errors
     ///
     /// [`efex_snap::SnapError::Invalid`] if the snapshot's physical memory
-    /// size differs from the receiver's.
+    /// size differs from the receiver's, or a page lies outside it.
     pub fn restore(
         &mut self,
         s: &crate::snapshot::MachineState,
@@ -779,19 +786,23 @@ impl Machine {
                 self.mem.size()
             )));
         }
+        let n_pages = self.mem.size().div_ceil(crate::snapshot::SNAP_PAGE);
         for (page_idx, bytes) in &s.pages {
-            if bytes.len() != crate::snapshot::SNAP_PAGE
-                || (*page_idx as usize) >= self.mem.size() >> 12
-            {
+            if bytes.len() != crate::snapshot::SNAP_PAGE || (*page_idx as usize) >= n_pages {
                 return Err(efex_snap::SnapError::Invalid(format!(
                     "snapshot page {page_idx:#x} out of range"
                 )));
             }
         }
-        self.mem.zero(0, self.mem.size()).expect("zero fits");
+        let written: Vec<u32> = self.mem.written_pages().collect();
+        for page_idx in written {
+            let (paddr, len) = self.page_span(page_idx);
+            self.mem.zero(paddr, len).expect("written page fits");
+        }
         for (page_idx, bytes) in &s.pages {
+            let (paddr, len) = self.page_span(*page_idx);
             self.mem
-                .write_bytes(page_idx << 12, bytes)
+                .write_bytes(paddr, &bytes[..len])
                 .expect("page range checked above");
         }
         self.cpu.set_regs(s.regs);
@@ -812,6 +823,14 @@ impl Machine {
             self.sbcache = (0..slots).map(|_| None).collect();
         }
         Ok(())
+    }
+
+    /// Physical address and in-range length of snapshot page `page_idx`:
+    /// a whole [`crate::snapshot::SNAP_PAGE`], except a final partial page.
+    fn page_span(&self, page_idx: u32) -> (u32, usize) {
+        let paddr = page_idx as usize * crate::snapshot::SNAP_PAGE;
+        let len = crate::snapshot::SNAP_PAGE.min(self.mem.size() - paddr);
+        (paddr as u32, len)
     }
 
     /// A cheap digest of the machine's architectural register state: GPRs,

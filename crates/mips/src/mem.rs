@@ -22,9 +22,9 @@ impl fmt::Display for BusError {
 
 impl Error for BusError {}
 
-/// Page shift for the per-page write version counters (4 KB, matching
-/// [`crate::tlb::PAGE_SIZE`]).
-const PAGE_SHIFT: u32 = 12;
+/// Page shift for the per-page write version counters: one
+/// [`crate::tlb::PAGE_SIZE`] page.
+const PAGE_SHIFT: u32 = crate::tlb::PAGE_SIZE.trailing_zeros();
 
 /// Byte-addressable physical memory, little-endian like the DECstation's
 /// R3000 configuration.
@@ -34,6 +34,10 @@ const PAGE_SHIFT: u32 = 12;
 /// with the version of the page they were fetched from, so any store to
 /// mapped text — guest stores, host `mem_mut()` writes, image loads —
 /// invalidates the affected cache lines without explicit hooks.
+///
+/// Version 0 is reserved: it means "never written since [`Memory::new`]".
+/// A counter that wraps skips it, so a page reporting version 0 is
+/// all zero, and [`Memory::written_pages`] names every page that may not be.
 #[derive(Clone, Debug)]
 pub struct Memory {
     bytes: Vec<u8>,
@@ -55,8 +59,9 @@ impl Memory {
         self.bytes.len()
     }
 
-    /// The write-version of the page containing `paddr`. Out-of-range
-    /// addresses report version 0 (they hold no cacheable text).
+    /// The write-version of the page containing `paddr`: 0 if the page was
+    /// never written. Out-of-range addresses report version 0 (they hold no
+    /// cacheable text).
     pub fn page_version(&self, paddr: u32) -> u32 {
         self.page_versions
             .get((paddr >> PAGE_SHIFT) as usize)
@@ -64,10 +69,20 @@ impl Memory {
             .unwrap_or(0)
     }
 
+    /// Indices (`paddr / PAGE_SIZE`) of the pages written since
+    /// [`Memory::new`], ascending. Every other page is all zero.
+    pub fn written_pages(&self) -> impl Iterator<Item = u32> + '_ {
+        self.page_versions
+            .iter()
+            .enumerate()
+            .filter(|&(_, &v)| v != 0)
+            .map(|(page, _)| page as u32)
+    }
+
     fn bump_page(&mut self, paddr: u32) {
         let page = (paddr >> PAGE_SHIFT) as usize;
         if let Some(v) = self.page_versions.get_mut(page) {
-            *v = v.wrapping_add(1);
+            *v = next_version(*v);
         }
     }
 
@@ -78,7 +93,7 @@ impl Memory {
         let first = (paddr >> PAGE_SHIFT) as usize;
         let last = (((paddr as usize + len - 1) >> PAGE_SHIFT) + 1).min(self.page_versions.len());
         for v in &mut self.page_versions[first..last] {
-            *v = v.wrapping_add(1);
+            *v = next_version(*v);
         }
     }
 
@@ -161,6 +176,11 @@ impl Memory {
     }
 }
 
+/// The version after `v`, skipping the reserved "never written" 0.
+fn next_version(v: u32) -> u32 {
+    v.wrapping_add(1).max(1)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -186,24 +206,51 @@ mod tests {
 
     #[test]
     fn page_versions_track_every_write_path() {
-        let mut m = Memory::new(3 << 12);
+        let written = |m: &Memory| m.written_pages().collect::<Vec<_>>();
+        let mut m = Memory::new(4 << 12);
         assert_eq!(m.page_version(0), 0);
+        assert_eq!(written(&m), []);
         m.write_u8(0x10, 1).unwrap();
         m.write_u16(0x20, 2).unwrap();
         m.write_u32(0x30, 3).unwrap();
         assert_eq!(m.page_version(0xfff), 3, "same page, three writes");
         assert_eq!(m.page_version(0x1000), 0, "neighbour untouched");
+        assert_eq!(written(&m), [0]);
         // A spanning copy bumps every page it touches.
         m.write_bytes(0x0ffe, &[0; 4]).unwrap();
         assert_eq!(m.page_version(0), 4);
         assert_eq!(m.page_version(0x1000), 1);
+        assert_eq!(written(&m), [0, 1]);
+        // Zeroing is a write too.
         m.zero(0x1000, 2 << 12).unwrap();
         assert_eq!(m.page_version(0x1000), 2);
         assert_eq!(m.page_version(0x2000), 1);
-        // Reads never bump; out-of-range queries report 0.
-        m.read_u32(0).unwrap();
+        assert_eq!(written(&m), [0, 1, 2]);
+        // Reads, failed writes and empty ranges never bump; out-of-range
+        // queries report 0.
+        m.read_u32(0x3000).unwrap();
+        assert!(m.write_u32(4 << 12, 1).is_err());
+        m.write_bytes(0x3000, &[]).unwrap();
+        m.zero(0x3000, 0).unwrap();
+        assert_eq!(m.page_version(0x3000), 0);
         assert_eq!(m.page_version(0), 4);
         assert_eq!(m.page_version(0x4000_0000), 0);
+        assert_eq!(written(&m), [0, 1, 2]);
+        // Storing a zero is a write.
+        m.write_u8(0x3fff, 0).unwrap();
+        assert_eq!(written(&m), [0, 1, 2, 3]);
+    }
+
+    #[test]
+    fn page_version_never_returns_to_zero() {
+        let mut m = Memory::new(2 << 12);
+        m.page_versions[1] = u32::MAX;
+        m.write_u8(0x1000, 0).unwrap();
+        assert_eq!(m.page_version(0x1000), 1);
+        m.page_versions[1] = u32::MAX;
+        m.zero(0x0800, 0x1000).unwrap();
+        assert_eq!(m.page_version(0x1000), 1);
+        assert_eq!(m.written_pages().collect::<Vec<_>>(), [0, 1]);
     }
 
     #[test]

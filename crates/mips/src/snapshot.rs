@@ -17,8 +17,8 @@ use efex_snap::{Flavor, Reader, SnapError, Writer};
 use crate::cp0::Cp0;
 use crate::tlb::{TlbEntry, TLB_ENTRIES};
 
-/// Snapshot memory granule: one 4 KB physical page.
-pub const SNAP_PAGE: usize = 4096;
+/// Snapshot memory granule: one [`crate::tlb::PAGE_SIZE`] physical page.
+pub const SNAP_PAGE: usize = crate::tlb::PAGE_SIZE as usize;
 
 /// The complete architectural state of one machine. Plain data — every
 /// field public — so higher layers (the simulated kernel, the fleet) can
@@ -53,7 +53,9 @@ pub struct MachineState {
     pub exceptions_taken: u64,
     /// Physical memory size in bytes.
     pub mem_size: u32,
-    /// Non-zero physical pages: `(paddr >> 12, 4096 bytes)`, ascending.
+    /// Non-zero physical pages: `(paddr / SNAP_PAGE, SNAP_PAGE bytes)`,
+    /// ascending. A final partial page (physical memory size not a multiple
+    /// of [`SNAP_PAGE`]) is zero-padded to a whole page.
     pub pages: Vec<(u32, Vec<u8>)>,
 }
 
@@ -275,5 +277,33 @@ mod tests {
         let state = m.snapshot();
         let mut other = Machine::new(1 << 17);
         assert!(matches!(other.restore(&state), Err(SnapError::Invalid(_))));
+    }
+
+    #[test]
+    fn partial_last_page_round_trips() {
+        let size = 0x1800;
+        let mut m = Machine::new(size);
+        m.mem_mut().write_u8(0x1000, 7).unwrap();
+        m.mem_mut().write_u32(0x17fc, 0xfeed_f00d).unwrap();
+        let state = MachineState::from_bytes(&m.snapshot().to_bytes()).unwrap();
+        assert_eq!(state.pages.len(), 1);
+        let (page_idx, bytes) = &state.pages[0];
+        assert_eq!(*page_idx, 1);
+        assert_eq!(bytes.len(), SNAP_PAGE, "zero-padded to a whole page");
+        assert!(bytes[size % SNAP_PAGE..].iter().all(|&b| b == 0));
+
+        let mut m2 = Machine::new(size);
+        m2.mem_mut().write_u32(0x0100, 1).unwrap();
+        m2.mem_mut().write_u32(0x17f0, 2).unwrap();
+        m2.restore(&state).unwrap();
+        assert_eq!(
+            m2.mem().read_bytes(0, size).unwrap(),
+            m.mem().read_bytes(0, size).unwrap()
+        );
+
+        // A page past the partial one is still out of range.
+        let mut past_end = state.clone();
+        past_end.pages[0].0 = 2;
+        assert!(matches!(m2.restore(&past_end), Err(SnapError::Invalid(_))));
     }
 }
