@@ -21,9 +21,10 @@ gate inject cargo run --release -p efex-bench --bin inject -- --all
 gate fleet-determinism cargo run --release -p efex-bench --bin fleet -- --tenants 16 --threads 4 --check-determinism
 gate fleet-health cargo run --release -p efex-bench --bin fleet -- --tenants 16 --threads 4 --health
 gate baseline cargo run --release -p efex-bench --bin report -- --check BENCH_baseline.json
-# The superblock engine must reproduce the interpreter-recorded baseline
-# bit-exactly (report --record refuses to run under it, so no re-record
-# can satisfy this gate).
+# The superblock engine is the machine default, so every gate but
+# `baseline` (report's interpreter oracle) runs it. Here it must reproduce
+# the interpreter-recorded baseline bit-exactly (report --record refuses to
+# run under it, so no re-record can satisfy this gate).
 gate baseline-superblock cargo run --release -p efex-bench --bin report -- --check BENCH_baseline.json --engine superblock
 gate snap cargo run --release -p efex-bench --bin snap
 gate fleet-migrate cargo run --release -p efex-bench --bin fleet -- --tenants 16 --threads 4 --migrate

@@ -4,8 +4,8 @@
 //! fleet --tenants 64 --threads 4        one run, aggregate summary
 //! fleet ... --check-determinism         re-run on one thread; the fleet
 //!                                       fingerprints must match bit-exactly
-//! fleet ... --engine superblock         run every tenant under the given
-//!                                       execution engine (interpreter is
+//! fleet ... --engine interpreter        run every tenant under the given
+//!                                       execution engine (superblock is
 //!                                       the default; results identical)
 //! fleet ... --chrome <path>             per-tenant Chrome-trace rows
 //! fleet ... --seed <n>                  override the fleet base seed

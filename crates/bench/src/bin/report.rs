@@ -16,10 +16,12 @@
 //! ```
 //!
 //! `--engine interpreter|superblock` runs the suite under the given machine
-//! execution engine (default interpreter). Both engines must produce the
-//! same recorded metrics, so `--check FILE --engine superblock` against the
-//! interpreter-recorded baseline is the bit-exactness gate for the
-//! superblock engine — no re-record allowed.
+//! execution engine. Unlike the machine default (superblock), `report`
+//! defaults to the interpreter: the reference oracle the baseline is
+//! recorded with. Both engines must produce the same recorded metrics, so
+//! `--check FILE --engine superblock` against the interpreter-recorded
+//! baseline is the bit-exactness gate for the superblock engine — no
+//! re-record allowed.
 //!
 //! All numbers are simulated cycles — deterministic across runs and hosts —
 //! so `--check` against a committed baseline is a meaningful CI gate: any
@@ -64,7 +66,10 @@ fn run(args: &[String]) -> Result<ExitCode, Box<dyn std::error::Error>> {
         print!(
             "usage: report [--record [FILE]] [--check FILE [--tol PCT]]\n\
              \x20             [--chrome [FILE]] [--flame [FILE]]\n\
-             \x20             [--engine interpreter|superblock]\n"
+             \x20             [--engine interpreter|superblock]\n\
+             \n\
+             --engine defaults to the interpreter, the reference oracle: --check\n\
+             runs it unless told otherwise, and --record runs nothing else.\n"
         );
         return Ok(ExitCode::SUCCESS);
     }

@@ -1107,7 +1107,9 @@ fn delivery_probe(
     // probe guest pins the interpreter with the cache on, whatever engine
     // the tenant runs — only the test-only slot-hash pathology carries over
     // (the canary arms it per-tenant and expects the probe to feel it).
-    let probe_cfg = MachineConfig::default().mod64_slots(tenant.mod64_slots);
+    let probe_cfg = MachineConfig::default()
+        .engine(efex_mips::machine::ExecEngine::Interpreter)
+        .mod64_slots(tenant.mod64_slots);
     let mut sys = System::builder()
         .delivery(DeliveryPath::FastUser)
         .trace_sink(ring.clone())

@@ -16,14 +16,16 @@ fn accelerators_are_bit_exact_with_the_reference() {
         threads: 2,
         ..FleetConfig::default()
     };
-    let reference = run_fleet(&cfg).expect("reference fleet");
+    let interpreter = MachineConfig::default().engine(ExecEngine::Interpreter);
     let superblock = MachineConfig::default().engine(ExecEngine::Superblock);
+    let reference = run_fleet(&FleetConfig {
+        machine: interpreter,
+        ..cfg
+    })
+    .expect("reference fleet");
     for (name, machine) in [
         ("superblock", superblock),
-        (
-            "decode cache off",
-            MachineConfig::default().decode_cache(false),
-        ),
+        ("decode cache off", interpreter.decode_cache(false)),
         (
             "superblock, decode cache off",
             superblock.decode_cache(false),

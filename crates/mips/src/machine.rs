@@ -252,18 +252,22 @@ fn dcache_slot_hash(vpn: u32, mod64: bool) -> usize {
 /// Both engines are architecturally identical — same register/CP0/TLB state,
 /// same cycle and instruction counts, same trace events, same exception
 /// delivery points. They differ only in host-side wall-clock cost (and in
-/// the host-side cache counters they maintain).
+/// the host-side cache counters they maintain). The superblock engine is
+/// the default; the interpreter is the reference the parity tests and the
+/// recorded baseline are checked against.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum ExecEngine {
     /// The reference engine: one full fetch–decode–dispatch round per
     /// instruction through [`Machine::step`].
-    #[default]
     Interpreter,
-    /// The superblock engine: straight-line runs (up to the next control
-    /// transfer, delay slot included) are pre-decoded once into flat blocks
-    /// with precomputed cycle costs, then replayed by a tight dispatch loop
-    /// that re-enters the generic [`Machine::step`] path only on block
-    /// exit, exception, TLB miss, or self-modified text.
+    /// The superblock engine (the default): straight-line runs (up to the
+    /// next control transfer, delay slot included) are pre-decoded once
+    /// into flat blocks with precomputed cycle costs, then replayed by a
+    /// tight dispatch loop that re-enters the generic [`Machine::step`]
+    /// path only on block exit, exception, TLB miss, or self-modified text.
+    /// A TLB change does not discard a block: it is retagged once its start
+    /// address re-translates to the same physical page.
+    #[default]
     Superblock,
 }
 
@@ -292,7 +296,9 @@ impl fmt::Display for ExecEngine {
     }
 }
 
-/// Per-machine execution configuration, fixed at construction.
+/// Per-machine execution configuration, fixed at construction. The
+/// default runs the superblock engine ([`ExecEngine::default`]) with the
+/// decode cache on for its generic-step fallback.
 ///
 /// This replaces the old process-global decode-cache switches (which fleet
 /// worker threads raced): every knob is a plain field, owned by the machine
@@ -313,7 +319,7 @@ pub struct MachineConfig {
 impl Default for MachineConfig {
     fn default() -> MachineConfig {
         MachineConfig {
-            engine: ExecEngine::Interpreter,
+            engine: ExecEngine::default(),
             decode_cache: true,
             mod64_slots: false,
         }
@@ -399,11 +405,15 @@ struct SbOp {
 
 /// A cached straight-line run, validated by the same tag set as
 /// [`DecodePage`] (translation identity + text-page write version) but as a
-/// whole: one check at entry covers every op in the block. A store inside
-/// the block that hits the block's own page aborts it mid-run (and drops
-/// it), so self-modifying code observes patched text on the very next
-/// fetch, exactly like the interpreter.
-#[derive(Clone)]
+/// whole: one check at entry covers every op in the block. A stale
+/// translation tag alone costs one re-translation of the start address,
+/// after which the block is retagged if it still maps to `page_paddr`
+/// (see `Machine::block_translation_current`). A store inside
+/// the block that hits the block's own page aborts it mid-run (and
+/// empties it), so self-modifying code observes patched text on the very
+/// next fetch, exactly like the interpreter. A block with no ops is a
+/// vacancy: it never validates, and the next build in its slot reuses it.
+#[derive(Clone, Default)]
 struct SuperBlock {
     start_pc: u32,
     user: bool,
@@ -489,7 +499,7 @@ pub struct Machine {
     dcache_misses: u64,
     dcache_evictions: u64,
     engine: ExecEngine,
-    /// Superblock cache (empty unless the superblock engine is selected).
+    /// Superblock cache (no slots until the superblock engine is selected).
     sbcache: Vec<Option<Box<SuperBlock>>>,
     sb_hits: u64,
     sb_misses: u64,
@@ -638,7 +648,7 @@ impl Machine {
     /// that).
     pub fn set_decode_cache_enabled(&mut self, on: bool) {
         if !on {
-            self.dcache = std::array::from_fn(|_| None);
+            self.dcache.fill(None);
         }
         self.dcache_enabled = on;
     }
@@ -668,21 +678,28 @@ impl Machine {
         self.engine
     }
 
-    /// Switches the execution engine. Cached superblocks are dropped on any
+    /// Switches the execution engine. Cached superblocks are vacated on any
     /// switch; architecturally-visible behaviour is identical either way.
     pub fn set_engine(&mut self, engine: ExecEngine) {
         if engine != self.engine {
-            self.sbcache = match engine {
-                ExecEngine::Superblock => (0..SBLOCK_SLOTS).map(|_| None).collect(),
-                ExecEngine::Interpreter => Vec::new(),
-            };
+            if engine == ExecEngine::Superblock && self.sbcache.is_empty() {
+                self.sbcache.resize_with(SBLOCK_SLOTS, || None);
+            }
+            self.vacate_superblocks();
             self.engine = engine;
+        }
+    }
+
+    /// Empties every superblock in place, keeping the allocations.
+    fn vacate_superblocks(&mut self) {
+        for block in self.sbcache.iter_mut().flatten() {
+            block.ops.clear();
         }
     }
 
     /// Superblock-cache (hits, misses, invalidations) over the machine's
     /// lifetime. Hits and misses count block *entries*; invalidations count
-    /// blocks dropped because a store rewrote their own text mid-run.
+    /// blocks discarded because a store rewrote their own text mid-run.
     /// Host-side observability only — never part of architectural state.
     pub fn superblock_stats(&self) -> (u64, u64, u64) {
         (self.sb_hits, self.sb_misses, self.sb_invalidations)
@@ -816,12 +833,9 @@ impl Machine {
         self.cycles = s.cycles;
         self.instret = s.instret;
         self.exceptions_taken = s.exceptions_taken;
-        // Drop both instruction caches: their tags predate the restore.
-        self.dcache = std::array::from_fn(|_| None);
-        if !self.sbcache.is_empty() {
-            let slots = self.sbcache.len();
-            self.sbcache = (0..slots).map(|_| None).collect();
-        }
+        // Empty both instruction caches: their tags predate the restore.
+        self.dcache.fill(None);
+        self.vacate_superblocks();
         Ok(())
     }
 
@@ -956,15 +970,19 @@ impl Machine {
     /// The superblock engine's run loop: execute whole cached blocks from
     /// the current PC, falling back to one generic [`Machine::step`]
     /// whenever the leading instruction can't live in a block (pending
-    /// delay slot, misaligned PC, sensitive op, fetch fault).
+    /// delay slot, misaligned PC, sensitive op, fetch fault) or only one
+    /// instruction of budget is left.
     fn run_superblock(&mut self, max_steps: u64) -> Result<StopReason, MachineError> {
         let mut remaining = max_steps;
         while remaining > 0 {
-            if self.prev_was_branch || self.cpu.pc & 3 != 0 {
+            if remaining == 1 || self.prev_was_branch || self.cpu.pc & 3 != 0 {
                 // A pending branch means the next op is a delay slot whose
                 // next_pc must not be sequential — blocks assume sequential
                 // entry, so the generic path runs it (this also covers the
                 // branch-in-delay-slot corner exactly as the interpreter).
+                // A one-instruction budget would retire only a block's first
+                // op: single-stepping callers would otherwise build a fresh
+                // block, decoding the rest of the run, at every instruction.
                 if let Some(stop) = self.step()? {
                     return Ok(stop);
                 }
@@ -984,14 +1002,12 @@ impl Machine {
         let pc = self.cpu.pc;
         let user = self.cp0.user_mode();
         let slot = sblock_slot(pc);
-        let asid = self.asid();
-        let tlb_gen = self.tlb.generation();
         let valid = self.sbcache[slot].as_deref().is_some_and(|b| {
             b.start_pc == pc
+                && !b.ops.is_empty()
                 && b.user == user
-                && (!b.mapped || (b.asid == asid && b.tlb_gen == tlb_gen))
                 && b.mem_version == self.mem.page_version(b.page_paddr)
-        });
+        }) && self.block_translation_current(slot, pc, user);
         if valid {
             self.sb_hits += 1;
         } else {
@@ -1005,19 +1021,47 @@ impl Machine {
                 return Ok(stop);
             }
         }
-        let block = self.sbcache[slot]
+        let mut block = self.sbcache[slot]
             .take()
             .expect("block probed or just built");
         let result = self.exec_ops(&block, remaining);
-        if self.mem.page_version(block.page_paddr) == block.mem_version {
-            self.sbcache[slot] = Some(block);
-        } else {
+        if self.mem.page_version(block.page_paddr) != block.mem_version {
             // A store rewrote the block's own text page: the pre-decoded
-            // ops are stale, so the block is dropped instead of reinstalled
-            // and the next entry refetches the patched words.
+            // ops are stale, so the block is reinstalled vacant and the
+            // next entry refetches the patched words.
+            block.ops.clear();
             self.sb_invalidations += 1;
         }
+        self.sbcache[slot] = Some(block);
         result
+    }
+
+    /// Whether the block in `slot` (which starts at `pc`) still translates
+    /// as it did when it was tagged. Past the cheap tag check, any TLB
+    /// change since then (a refill, a `utlbp` toggle, an ASID switch) costs
+    /// one fetch translation of `pc`: if it still lands on the block's
+    /// physical page the block is exact — it never spans pages, and its
+    /// text's write version was checked by the caller — so it is retagged.
+    /// A failed or moved translation returns `false`, and the rebuild or
+    /// generic step that follows raises the interpreter's exact fault.
+    fn block_translation_current(&mut self, slot: usize, pc: u32, user: bool) -> bool {
+        let asid = self.asid();
+        let tlb_gen = self.tlb.generation();
+        let b = self.sbcache[slot].as_deref().expect("block probed");
+        if !b.mapped || (b.asid == asid && b.tlb_gen == tlb_gen) {
+            return true;
+        }
+        let page_paddr = b.page_paddr;
+        if !self
+            .translate(pc, Access::Fetch, user)
+            .is_ok_and(|paddr| paddr & !0xfff == page_paddr)
+        {
+            return false;
+        }
+        let b = self.sbcache[slot].as_deref_mut().expect("block probed");
+        b.asid = asid;
+        b.tlb_gen = tlb_gen;
+        true
     }
 
     /// Pre-decodes the straight-line run starting at `pc` into a superblock
@@ -1030,9 +1074,20 @@ impl Machine {
         let Ok(paddr) = self.translate(pc, Access::Fetch, user) else {
             return false;
         };
+        // A block holds at least its leading op; without one the slot keeps
+        // whatever block it has.
+        let lead = self.mem.read_u32(paddr).ok().and_then(|w| decode(w).ok());
+        if lead.is_none_or(ends_block) {
+            return false;
+        }
         let page_paddr = paddr & !0xfff;
         let mem_version = self.mem.page_version(page_paddr);
-        let mut ops: Vec<SbOp> = Vec::with_capacity(8);
+        let slot = sblock_slot(pc);
+        // Rebuild in the slot's existing block, keeping its allocation and
+        // its op buffer's capacity.
+        let mut block = self.sbcache[slot].take().unwrap_or_default();
+        let mut ops = std::mem::take(&mut block.ops);
+        ops.clear();
         let mut va = pc;
         let mut pa = paddr;
         while ops.len() < SBLOCK_MAX_OPS {
@@ -1079,20 +1134,17 @@ impl Machine {
             }
             pa += 4;
         }
-        if ops.is_empty() {
-            return false;
-        }
-        let mapped = !(0x8000_0000..0xc000_0000).contains(&pc);
-        self.sbcache[sblock_slot(pc)] = Some(Box::new(SuperBlock {
+        *block = SuperBlock {
             start_pc: pc,
             user,
-            mapped,
+            mapped: !(0x8000_0000..0xc000_0000).contains(&pc),
             asid: self.asid(),
             tlb_gen: self.tlb.generation(),
             page_paddr,
             mem_version,
             ops,
-        }));
+        };
+        self.sbcache[slot] = Some(block);
         true
     }
 

@@ -30,10 +30,13 @@ const PAGE_SHIFT: u32 = crate::tlb::PAGE_SIZE.trailing_zeros();
 /// R3000 configuration.
 ///
 /// Every write bumps a per-page **version counter** ([`Memory::page_version`]).
-/// The decode cache in [`crate::machine::Machine`] tags cached instructions
-/// with the version of the page they were fetched from, so any store to
-/// mapped text — guest stores, host `mem_mut()` writes, image loads —
-/// invalidates the affected cache lines without explicit hooks.
+/// Both instruction caches in [`crate::machine::Machine`] — the decode
+/// cache and the superblock cache — tag what they decoded with the version
+/// of the physical page it was fetched from, so any store to text — guest
+/// stores, host `mem_mut()` writes, image loads — invalidates the affected
+/// lines and blocks without explicit hooks. The version is what lets a
+/// superblock outlive a TLB change: once its start address re-translates
+/// to the same page, an unchanged version proves its ops are still exact.
 ///
 /// Version 0 is reserved: it means "never written since [`Memory::new`]".
 /// A counter that wraps skips it, so a page reporting version 0 is

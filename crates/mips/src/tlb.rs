@@ -7,6 +7,7 @@
 //! but never the translation itself — via the `utlbp` instruction. The tag
 //! (ASID) ensures a process can only touch its own entries.
 
+use std::cell::Cell;
 use std::fmt;
 
 /// Number of TLB entries (as in the R3000).
@@ -14,6 +15,9 @@ pub const TLB_ENTRIES: usize = 64;
 
 /// Hardware page size: 4 KB, the granularity the paper works against.
 pub const PAGE_SIZE: u32 = 4096;
+
+/// Entries in the lookup hint table (direct-mapped by virtual page).
+const HINTS: usize = 8;
 
 /// Bit positions within the raw `EntryLo` word.
 pub mod entry_lo {
@@ -139,9 +143,19 @@ impl fmt::Display for TlbFault {
 pub struct Tlb {
     entries: [Option<TlbEntry>; TLB_ENTRIES],
     /// Bumped by every mutating operation. Consumers that cache derived
-    /// translation state (the decode cache in `machine.rs`) compare this to
-    /// detect TLB writes, evictions, flushes, and protection changes.
+    /// translation state compare this to detect TLB writes, evictions,
+    /// flushes, and protection changes: the hint table below, the decode
+    /// cache in `machine.rs`, and the superblock cache, whose blocks
+    /// re-translate their start address and are retagged when the
+    /// translation still lands on the same physical page.
     generation: u64,
+    /// Lookup hints, direct-mapped by virtual page: `(generation, vpn,
+    /// asid, slot)` records that `slot` was the first entry matching
+    /// (`vpn`, `asid`) while the TLB was at `generation`. Every mutation
+    /// bumps the generation, so a hint is exact for as long as its key can
+    /// still match; [`Tlb::restore`] rewinds the generation and therefore
+    /// resets every hint.
+    hints: [Cell<(u64, u32, u8, u8)>; HINTS],
 }
 
 impl Default for Tlb {
@@ -156,6 +170,7 @@ impl Tlb {
         Tlb {
             entries: [None; TLB_ENTRIES],
             generation: 0,
+            hints: Tlb::no_hints(),
         }
     }
 
@@ -172,12 +187,7 @@ impl Tlb {
     /// Returns the appropriate [`TlbFault`] when no usable translation
     /// exists.
     pub fn translate(&self, vaddr: u32, asid: u8, is_write: bool) -> Result<u32, TlbFault> {
-        let entry = self
-            .entries
-            .iter()
-            .flatten()
-            .find(|e| e.matches(vaddr, asid))
-            .ok_or(TlbFault::Miss)?;
+        let entry = self.lookup(vaddr, asid).ok_or(TlbFault::Miss)?;
         if !entry.valid {
             return Err(TlbFault::Invalid);
         }
@@ -185,6 +195,26 @@ impl Tlb {
             return Err(TlbFault::Modification);
         }
         Ok((entry.pfn << 12) | (vaddr & (PAGE_SIZE - 1)))
+    }
+
+    /// The first entry matching `vaddr`/`asid`: the hinted slot when the
+    /// hint for this page is current, else a scan that refreshes the hint.
+    fn lookup(&self, vaddr: u32, asid: u8) -> Option<&TlbEntry> {
+        let vpn = vaddr >> 12;
+        let hint = &self.hints[vpn as usize % HINTS];
+        let (generation, hint_vpn, hint_asid, slot) = hint.get();
+        if generation == self.generation && hint_vpn == vpn && hint_asid == asid {
+            return self.entries[usize::from(slot)].as_ref();
+        }
+        let slot = self.probe(vaddr, asid)?;
+        hint.set((self.generation, vpn, asid, slot as u8));
+        self.entries[slot].as_ref()
+    }
+
+    /// An empty hint table. Keys carry a VPN above the 20-bit range, so no
+    /// lookup can match them whatever the generation.
+    fn no_hints() -> [Cell<(u64, u32, u8, u8)>; HINTS] {
+        std::array::from_fn(|_| Cell::new((0, u32::MAX, 0, 0)))
     }
 
     /// Finds the index of the entry matching `vaddr`/`asid`, if any
@@ -295,9 +325,12 @@ impl Tlb {
     /// eviction (the snapshot came from a TLB that already enforced it) and
     /// sets the generation exactly, so a restored run's translation-cache
     /// tags evolve identically to the uninterrupted run it forked from.
+    /// The lookup hints are reset: the restored generation may be one that
+    /// an existing hint was keyed by, over different slots.
     pub fn restore(&mut self, slots: [Option<TlbEntry>; TLB_ENTRIES], generation: u64) {
         self.entries = slots;
         self.generation = generation;
+        self.hints = Tlb::no_hints();
     }
 }
 

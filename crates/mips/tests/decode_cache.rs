@@ -10,14 +10,17 @@ use efex_mips::cp0::status;
 use efex_mips::encode::encode;
 use efex_mips::exception::ExcCode;
 use efex_mips::isa::{Instruction, Reg, TlbProtOp};
-use efex_mips::machine::{kseg_to_phys, Machine, StopReason};
+use efex_mips::machine::{kseg_to_phys, ExecEngine, Machine, MachineConfig, StopReason};
 use efex_mips::tlb::TlbEntry;
 use proptest::prelude::*;
 
-/// A cached machine and its uncached reference, built identically.
+/// A cached machine and its uncached reference, built identically. Both
+/// name the interpreter: under the default superblock engine most fetches
+/// would bypass the decode cache these tests exercise.
 fn pair() -> (Machine, Machine) {
-    let cached = Machine::new(1 << 20);
-    let mut reference = Machine::new(1 << 20);
+    let cfg = MachineConfig::default().engine(ExecEngine::Interpreter);
+    let cached = Machine::with_config(1 << 20, cfg);
+    let mut reference = Machine::with_config(1 << 20, cfg);
     reference.set_decode_cache_enabled(false);
     assert!(cached.decode_cache_enabled());
     assert!(!reference.decode_cache_enabled());
@@ -265,9 +268,7 @@ proptest! {
         words in proptest::collection::vec(any::<u32>(), 1..128),
         steps in 1usize..400,
     ) {
-        let mut cached = Machine::new(1 << 20);
-        let mut reference = Machine::new(1 << 20);
-        reference.set_decode_cache_enabled(false);
+        let (mut cached, mut reference) = pair();
         for m in [&mut cached, &mut reference] {
             write_words(m, 0x1000, &words);
             m.set_pc(0x8000_1000);

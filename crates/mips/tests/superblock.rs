@@ -7,13 +7,18 @@
 //! code, where pre-decoded block contents could go stale: a patch in
 //! straight-line code (including mid-block, by the block's own store), a
 //! patch in a branch delay slot, and a patch of the instruction an
-//! exception handler returns to.
+//! exception handler returns to — and to TLB churn under live blocks,
+//! where a block may be retagged only while its start address still
+//! translates to the page it was decoded from.
 
+use efex_mips::asm::assemble;
+use efex_mips::cp0::status;
 use efex_mips::encode::encode;
 use efex_mips::isa::{Instruction, Reg};
 use efex_mips::machine::{
     kseg_to_phys, ExecEngine, Machine, MachineConfig, StopReason, GENERAL_VECTOR,
 };
+use efex_mips::tlb::TlbEntry;
 use proptest::prelude::*;
 
 /// A superblock machine and its interpreter reference, built identically.
@@ -22,7 +27,10 @@ fn pair() -> (Machine, Machine) {
         1 << 20,
         MachineConfig::default().engine(ExecEngine::Superblock),
     );
-    let interp = Machine::with_config(1 << 20, MachineConfig::default());
+    let interp = Machine::with_config(
+        1 << 20,
+        MachineConfig::default().engine(ExecEngine::Interpreter),
+    );
     assert_eq!(sb.engine(), ExecEngine::Superblock);
     assert_eq!(interp.engine(), ExecEngine::Interpreter);
     (sb, interp)
@@ -263,6 +271,274 @@ fn hot_loop_hits_the_block_cache() {
     let (hits, misses, _) = m.superblock_stats();
     assert!(hits > 90, "hot loop must re-enter cached blocks: {hits}");
     assert!(misses < 10, "steady state must not rebuild: {misses}");
+}
+
+/// A valid, writable TLB entry mapping `vpn` to `pfn` for `asid`.
+fn mapping(vpn: u32, asid: u8, pfn: u32) -> TlbEntry {
+    TlbEntry {
+        vpn,
+        asid,
+        pfn,
+        valid: true,
+        dirty: true,
+        global: false,
+        user_modifiable: false,
+    }
+}
+
+/// Two subroutines, one per physical frame, both run at the mapped virtual
+/// address `0x0040_0000`: frame 4's returns 1 in `$v0` and adds 10 to
+/// `$v1`, frame 5's returns 2 and adds 20. Frame 6 holds a third, shared
+/// through a global mapping at `0x0040_1000`: it adds 100 to `$v1`.
+const SUBROUTINES: &str = r#"
+    .org 0x80004000
+        addiu $v0, $zero, 1
+        addiu $v1, $v1, 10
+        jr    $ra
+        nop
+    .org 0x80005000
+        addiu $v0, $zero, 2
+        addiu $v1, $v1, 20
+        jr    $ra
+        nop
+    .org 0x80006000
+        addiu $v1, $v1, 100
+        jr    $ra
+        nop
+"#;
+
+/// Where the churn tests' kernel-mode driver code starts. Its blocks land
+/// in superblock cache slots other than the subroutines' ones, so the
+/// block a test calls into is still resident, and its tags are checked,
+/// when the call after the TLB change reaches it.
+const MAIN: u32 = 0x8000_1100;
+
+/// Assembles `src` into both machines, installs `tlb` (slot, entry) pairs,
+/// applies `setup`, runs from `entry` to `hcall 1`, checks that the two
+/// engines agree on every architectural counter, and returns the
+/// superblock machine.
+fn run_churn(
+    src: &str,
+    entry: u32,
+    tlb: &[(usize, TlbEntry)],
+    setup: impl Fn(&mut Machine),
+) -> Machine {
+    let prog = assemble(src).unwrap();
+    let mut ms = pair();
+    both(&mut ms, |m| {
+        m.load_image(&prog).unwrap();
+        for &(slot, entry) in tlb {
+            m.tlb_mut().write(slot, entry);
+        }
+        setup(m);
+        m.set_pc(entry);
+        assert_eq!(m.run(100_000).unwrap(), StopReason::HostCall(1));
+    });
+    assert_same_state(&ms.0, &ms.1, "TLB churn");
+    assert_eq!(
+        ms.0.tlb().generation(),
+        ms.1.tlb().generation(),
+        "TLB generations diverged"
+    );
+    ms.0
+}
+
+/// (a) `tlbwi` remaps a text page to a new frame under a live block: the
+/// block's start address now translates elsewhere, so it must be rebuilt
+/// from the new frame rather than retagged.
+#[test]
+fn remapped_text_page_is_refetched() {
+    let src = format!(
+        r#"{SUBROUTINES}
+    .org 0x80001100
+        li    $t9, 0x00400000
+        jalr  $t9
+        nop
+        addu  $s0, $v0, $zero
+        jalr  $t9
+        nop
+        addu  $s1, $v0, $zero
+        li    $t0, 0x00400000       # vpn 0x400, asid 0
+        mtc0  $t0, $entryhi
+        li    $t1, 0x5600           # pfn 5 | D | V
+        mtc0  $t1, $entrylo
+        li    $t2, 0x0100           # slot 1
+        mtc0  $t2, $index
+        tlbwi
+        jalr  $t9
+        nop
+        addu  $s2, $v0, $zero
+        hcall 1
+"#
+    );
+    let sb = run_churn(&src, MAIN, &[(1, mapping(0x400, 0, 4))], |_| {});
+    assert_eq!(
+        [Reg::S0, Reg::S1, Reg::S2].map(|r| sb.cpu().reg(r)),
+        [1, 1, 2],
+        "the call after the remap must run the new frame's text"
+    );
+    assert_eq!(sb.cpu().reg(Reg::V1), 40);
+    let (hits, _, _) = sb.superblock_stats();
+    assert!(hits > 0, "the second call must reuse the cached block");
+}
+
+/// (b) An ASID switch maps the same virtual address to different text
+/// (rebuild each time), while a global page keeps its block across the
+/// switches (retag).
+#[test]
+fn asid_switch_selects_each_spaces_text() {
+    let src = format!(
+        r#"{SUBROUTINES}
+    .org 0x80001100
+        li    $t9, 0x00400000
+        li    $t8, 0x00401000
+        li    $t0, 0x40             # asid 1
+        mtc0  $t0, $entryhi
+        jalr  $t9
+        nop
+        addu  $s0, $v0, $zero
+        jalr  $t8
+        nop
+        li    $t0, 0x80             # asid 2
+        mtc0  $t0, $entryhi
+        jalr  $t9
+        nop
+        addu  $s1, $v0, $zero
+        jalr  $t8
+        nop
+        li    $t0, 0x40             # asid 1 again
+        mtc0  $t0, $entryhi
+        jalr  $t9
+        nop
+        addu  $s2, $v0, $zero
+        jalr  $t8
+        nop
+        hcall 1
+"#
+    );
+    let shared = TlbEntry {
+        global: true,
+        ..mapping(0x401, 0, 6)
+    };
+    let sb = run_churn(
+        &src,
+        MAIN,
+        &[
+            (1, mapping(0x400, 1, 4)),
+            (2, mapping(0x400, 2, 5)),
+            (3, shared),
+        ],
+        |_| {},
+    );
+    assert_eq!(
+        [Reg::S0, Reg::S1, Reg::S2].map(|r| sb.cpu().reg(r)),
+        [1, 2, 1],
+        "each address space must run its own text"
+    );
+    assert_eq!(sb.cpu().reg(Reg::V1), 10 + 20 + 10 + 3 * 100);
+}
+
+/// (c) `utlbp` protect-all on the text page under a live block: the next
+/// fetch must raise the TLB-invalid fault exactly where the interpreter
+/// does; the handler re-enables the page and retries the fetch.
+#[test]
+fn protect_all_on_text_page_faults_the_next_fetch() {
+    let src = format!(
+        r#"{SUBROUTINES}
+    .org 0x80000080
+        li    $k0, 0x00400000
+        utlbp $k0, re
+        addiu $s7, $s7, 1
+        mfc0  $k0, $epc
+        jr    $k0
+        rfe
+    .org 0x80001100
+        li    $t9, 0x00400000
+        jalr  $t9
+        nop
+        addu  $s0, $v0, $zero
+        li    $a0, 0x00400000
+        utlbp $a0, pa
+        jalr  $t9
+        nop
+        addu  $s1, $v0, $zero
+        hcall 1
+"#
+    );
+    let text = TlbEntry {
+        user_modifiable: true,
+        ..mapping(0x400, 0, 4)
+    };
+    let sb = run_churn(&src, MAIN, &[(1, text)], |_| {});
+    assert_eq!(sb.exceptions_taken(), 1, "the protected fetch must fault");
+    assert_eq!(sb.cpu().reg(Reg::S7), 1, "the handler ran once");
+    assert_eq!(sb.cp0().epc, 0x0040_0000, "the fault is on the fetch");
+    assert_eq!(
+        [Reg::S0, Reg::S1].map(|r| sb.cpu().reg(r)),
+        [1, 1],
+        "the retried call runs the same text"
+    );
+}
+
+/// Runs a user-mode loop of `trips` iterations that toggles `utlbp`
+/// write protection on a *data* page twice per iteration, and returns the
+/// superblock machine after checking it against the interpreter.
+fn data_page_toggle_loop(trips: u32) -> Machine {
+    let src = r#"
+    .org 0x80000080
+        hcall 1
+    .org 0x80004000                 # runs mapped at 0x00400000
+    top:
+        lw    $t0, 0($a0)
+        addiu $t1, $t1, -1
+        beq   $zero, $zero, next
+        utlbp $a0, wp               # delay slot: write-protect the data
+    next:
+        lw    $t2, 4($a0)
+        addu  $t3, $t3, $t0
+        bne   $t1, $zero, top
+        utlbp $a0, we               # delay slot: write-enable it again
+        sw    $t3, 8($a0)
+        break 0
+"#;
+    let text = TlbEntry {
+        dirty: false,
+        ..mapping(0x400, 0, 4)
+    };
+    let data = TlbEntry {
+        user_modifiable: true,
+        ..mapping(0x500, 0, 7)
+    };
+    let sb = run_churn(src, 0x0040_0000, &[(1, text), (2, data)], |m| {
+        m.mem_mut().write_u32(0x7000, 3).unwrap();
+        m.cpu_mut().set_reg(Reg::A0, 0x0050_0000);
+        m.cpu_mut().set_reg(Reg::T1, trips);
+        m.cp0_mut().status = status::KUC;
+        m.set_asid(0);
+    });
+    assert_eq!(sb.mem().read_u32(0x7008).unwrap(), 3 * trips);
+    sb
+}
+
+/// (d) Protection toggles on a data page bump the TLB generation on every
+/// iteration, but the loop's text still translates to the same page, so
+/// its blocks are retagged rather than rebuilt: after warm-up the miss
+/// count no longer grows with the trip count.
+#[test]
+fn data_page_protection_toggles_keep_blocks() {
+    let short = data_page_toggle_loop(4);
+    let long = data_page_toggle_loop(400);
+    let (short_hits, short_misses, _) = short.superblock_stats();
+    let (long_hits, long_misses, _) = long.superblock_stats();
+    assert_eq!(
+        long_misses, short_misses,
+        "toggling a data page's protection must not rebuild text blocks"
+    );
+    assert_eq!(
+        long_hits - short_hits,
+        2 * (400 - 4),
+        "every extra iteration re-enters both of its blocks"
+    );
 }
 
 proptest! {
