@@ -8,7 +8,11 @@
 //!
 //! Recording is an upsert keyed on `(component, tenant, name)` and storage
 //! is insertion-ordered, so re-feeding the registry from fresh snapshots is
-//! idempotent and every rendering (Prometheus, JSONL) is deterministic.
+//! idempotent and every rendering (Prometheus, JSONL) is deterministic. An
+//! index over the keys makes each upsert and lookup a few hash probes, so
+//! feeding a fleet's worth of per-tenant snapshots stays linear.
+
+use std::collections::{BTreeMap, HashMap};
 
 use efex_trace::{Histogram, StatsSnapshot};
 
@@ -52,8 +56,15 @@ pub struct Sample {
 #[derive(Clone, Debug, Default)]
 pub struct Registry {
     samples: Vec<Sample>,
+    index: SampleIndex,
     histograms: Vec<(String, Histogram)>,
 }
+
+/// Where each sample sits in `samples`: by tenant scope, then by the
+/// metric's identity, `component` then `name`. Nested maps let a lookup
+/// borrow its `&str` keys instead of allocating a tuple of `String`s; one
+/// metric-identity type could later replace the inner two levels.
+type SampleIndex = BTreeMap<Option<u32>, HashMap<String, HashMap<String, usize>>>;
 
 impl Registry {
     /// An empty registry.
@@ -70,23 +81,30 @@ impl Registry {
         kind: MetricKind,
         value: u64,
     ) {
-        match self
-            .samples
-            .iter_mut()
-            .find(|s| s.component == component && s.tenant == tenant && s.name == name)
-        {
-            Some(s) => {
-                s.kind = kind;
-                s.value = value;
-            }
-            None => self.samples.push(Sample {
-                component: component.to_string(),
-                name: name.to_string(),
-                tenant,
-                kind,
-                value,
-            }),
+        if let Some(i) = self.position(component, tenant, name) {
+            let s = &mut self.samples[i];
+            s.kind = kind;
+            s.value = value;
+            return;
         }
+        self.index
+            .entry(tenant)
+            .or_default()
+            .entry(component.to_string())
+            .or_default()
+            .insert(name.to_string(), self.samples.len());
+        self.samples.push(Sample {
+            component: component.to_string(),
+            name: name.to_string(),
+            tenant,
+            kind,
+            value,
+        });
+    }
+
+    /// Index of the sample with this key in `samples`.
+    fn position(&self, component: &str, tenant: Option<u32>, name: &str) -> Option<usize> {
+        self.index.get(&tenant)?.get(component)?.get(name).copied()
     }
 
     /// Upserts a [`MetricKind::Counter`] sample.
@@ -116,10 +134,8 @@ impl Registry {
 
     /// Looks a sample's value up by its full key.
     pub fn get(&self, component: &str, tenant: Option<u32>, name: &str) -> Option<u64> {
-        self.samples
-            .iter()
-            .find(|s| s.component == component && s.tenant == tenant && s.name == name)
-            .map(|s| s.value)
+        self.position(component, tenant, name)
+            .map(|i| self.samples[i].value)
     }
 
     /// All samples, in first-recorded order.
@@ -134,10 +150,7 @@ impl Registry {
 
     /// Distinct tenant ids present, ascending.
     pub fn tenants(&self) -> Vec<u32> {
-        let mut ids: Vec<u32> = self.samples.iter().filter_map(|s| s.tenant).collect();
-        ids.sort_unstable();
-        ids.dedup();
-        ids
+        self.index.keys().filter_map(|&t| t).collect()
     }
 
     /// True when nothing has been recorded.

@@ -743,16 +743,16 @@ impl Machine {
     pub fn snapshot(&self) -> crate::snapshot::MachineState {
         let mem_size = self.mem.size();
         let mut pages = Vec::new();
+        let mut page = [0; crate::snapshot::SNAP_PAGE];
         for page_idx in self.mem.written_pages() {
             let (paddr, len) = self.page_span(page_idx);
-            let bytes = self
-                .mem
-                .read_bytes(paddr, len)
+            let (in_range, padding) = page.split_at_mut(len);
+            self.mem
+                .read_into(paddr, in_range)
                 .expect("written page within physical memory");
-            if bytes.iter().any(|&b| b != 0) {
-                let mut page = bytes.to_vec();
-                page.resize(crate::snapshot::SNAP_PAGE, 0);
-                pages.push((page_idx, page));
+            padding.fill(0);
+            if page.iter().any(|&b| b != 0) {
+                pages.push((page_idx, page.to_vec()));
             }
         }
         crate::snapshot::MachineState {

@@ -1,8 +1,16 @@
-//! Flat physical memory.
+//! Flat physical memory, backed only up to its highest written page.
 //!
 //! Accesses are by physical address; translation happens in
 //! [`crate::machine`]. Out-of-range accesses return [`BusError`], which the
 //! machine turns into a bus-error exception.
+//!
+//! A machine has an architectural size (16 MB for a booted kernel), but a
+//! guest touches little of it: the kernel image sits in the first pages and
+//! user frames are handed out upward from 1 MB. So the host store is a flat
+//! byte vector that covers only a prefix of physical memory — up to the end
+//! of the highest page ever written — and every byte past it reads as zero.
+//! Building, cloning and snapshotting a machine cost what the guest wrote,
+//! not what it could address.
 
 use std::error::Error;
 use std::fmt;
@@ -29,6 +37,14 @@ const PAGE_SHIFT: u32 = crate::tlb::PAGE_SIZE.trailing_zeros();
 /// Byte-addressable physical memory, little-endian like the DECstation's
 /// R3000 configuration.
 ///
+/// The host store is **backed only up to the highest written page**
+/// ([`Memory::backed_bytes`]): bytes past the backed end read as zero
+/// without being stored, and a write past it grows the store, a whole page
+/// at a time and never past [`Memory::size`]. An in-range access inside the
+/// backed prefix costs one bounds compare, as on a fully allocated store;
+/// the architectural behaviour — values, bus errors at `size`, page
+/// versions — is that of `size` bytes of zero-initialised memory.
+///
 /// Every write bumps a per-page **version counter** ([`Memory::page_version`]).
 /// Both instruction caches in [`crate::machine::Machine`] — the decode
 /// cache and the superblock cache — tag what they decoded with the version
@@ -43,22 +59,36 @@ const PAGE_SHIFT: u32 = crate::tlb::PAGE_SIZE.trailing_zeros();
 /// all zero, and [`Memory::written_pages`] names every page that may not be.
 #[derive(Clone, Debug)]
 pub struct Memory {
+    /// The backed prefix of physical memory; every byte at or past its
+    /// length is zero. Never longer than `size`, and every written page
+    /// lies inside it.
     bytes: Vec<u8>,
+    /// Architectural size in bytes: an access ending past it is a bus error.
+    size: usize,
     page_versions: Vec<u32>,
 }
 
 impl Memory {
-    /// Allocates `size` bytes of zeroed physical memory.
+    /// Creates `size` bytes of zeroed physical memory. Nothing is backed
+    /// until the first write.
     pub fn new(size: usize) -> Memory {
         let pages = size.div_ceil(1 << PAGE_SHIFT);
         Memory {
-            bytes: vec![0; size],
+            bytes: Vec::new(),
+            size,
             page_versions: vec![0; pages],
         }
     }
 
     /// Total size in bytes.
     pub fn size(&self) -> usize {
+        self.size
+    }
+
+    /// Bytes of host store backing this memory: the end of the highest page
+    /// written so far (capped at [`Memory::size`]). Everything past it is
+    /// zero and costs no host memory.
+    pub fn backed_bytes(&self) -> usize {
         self.bytes.len()
     }
 
@@ -100,80 +130,121 @@ impl Memory {
         }
     }
 
-    fn check(&self, paddr: u32, len: u32) -> Result<usize, BusError> {
+    /// `paddr` as an index, if `[paddr, paddr + len)` lies inside `size`.
+    fn check(&self, paddr: u32, len: usize) -> Result<usize, BusError> {
         let end = paddr as u64 + len as u64;
-        if end > self.bytes.len() as u64 {
+        if end > self.size as u64 {
             return Err(BusError { paddr });
         }
         Ok(paddr as usize)
     }
 
+    /// Loads `N` bytes: one bounds compare inside the backed prefix.
+    #[inline(always)]
+    fn load<const N: usize>(&self, paddr: u32) -> Result<[u8; N], BusError> {
+        let i = paddr as usize;
+        match self.bytes.get(i..i + N) {
+            Some(b) => Ok(b.try_into().expect("slice of length N")),
+            None => self.load_unbacked(paddr),
+        }
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn load_unbacked<const N: usize>(&self, paddr: u32) -> Result<[u8; N], BusError> {
+        let mut out = [0; N];
+        self.read_into(paddr, &mut out)?;
+        Ok(out)
+    }
+
+    /// The store for `[paddr, paddr + len)`: one bounds compare inside the
+    /// backed prefix. Does not bump versions.
+    #[inline(always)]
+    fn span_mut(&mut self, paddr: u32, len: usize) -> Result<&mut [u8], BusError> {
+        let i = paddr as usize;
+        if i + len <= self.bytes.len() {
+            return Ok(&mut self.bytes[i..i + len]);
+        }
+        self.grow_to_cover(paddr, len)
+    }
+
+    /// Extends the backed prefix over `[paddr, paddr + len)`, to the end of
+    /// its last page (capped at `size`), and returns that span.
+    #[cold]
+    #[inline(never)]
+    fn grow_to_cover(&mut self, paddr: u32, len: usize) -> Result<&mut [u8], BusError> {
+        let i = self.check(paddr, len)?;
+        let page = 1usize << PAGE_SHIFT;
+        let end = (i + len).next_multiple_of(page).min(self.size);
+        if end > self.bytes.len() {
+            self.bytes.resize(end, 0);
+        }
+        Ok(&mut self.bytes[i..i + len])
+    }
+
     /// Reads one byte.
     pub fn read_u8(&self, paddr: u32) -> Result<u8, BusError> {
-        let i = self.check(paddr, 1)?;
-        Ok(self.bytes[i])
+        self.load::<1>(paddr).map(|[b]| b)
     }
 
     /// Reads a halfword. The address must already be aligned (the machine
     /// checks alignment before translation).
     pub fn read_u16(&self, paddr: u32) -> Result<u16, BusError> {
-        let i = self.check(paddr, 2)?;
-        Ok(u16::from_le_bytes([self.bytes[i], self.bytes[i + 1]]))
+        self.load(paddr).map(u16::from_le_bytes)
     }
 
     /// Reads a word.
     pub fn read_u32(&self, paddr: u32) -> Result<u32, BusError> {
-        let i = self.check(paddr, 4)?;
-        Ok(u32::from_le_bytes([
-            self.bytes[i],
-            self.bytes[i + 1],
-            self.bytes[i + 2],
-            self.bytes[i + 3],
-        ]))
+        self.load(paddr).map(u32::from_le_bytes)
     }
 
     /// Writes one byte.
     pub fn write_u8(&mut self, paddr: u32, v: u8) -> Result<(), BusError> {
-        let i = self.check(paddr, 1)?;
-        self.bytes[i] = v;
+        self.span_mut(paddr, 1)?[0] = v;
         self.bump_page(paddr);
         Ok(())
     }
 
     /// Writes a halfword.
     pub fn write_u16(&mut self, paddr: u32, v: u16) -> Result<(), BusError> {
-        let i = self.check(paddr, 2)?;
-        self.bytes[i..i + 2].copy_from_slice(&v.to_le_bytes());
+        self.span_mut(paddr, 2)?.copy_from_slice(&v.to_le_bytes());
         self.bump_page(paddr);
         Ok(())
     }
 
     /// Writes a word.
     pub fn write_u32(&mut self, paddr: u32, v: u32) -> Result<(), BusError> {
-        let i = self.check(paddr, 4)?;
-        self.bytes[i..i + 4].copy_from_slice(&v.to_le_bytes());
+        self.span_mut(paddr, 4)?.copy_from_slice(&v.to_le_bytes());
         self.bump_page(paddr);
         Ok(())
     }
 
     /// Copies a slice into memory.
     pub fn write_bytes(&mut self, paddr: u32, data: &[u8]) -> Result<(), BusError> {
-        let i = self.check(paddr, data.len() as u32)?;
-        self.bytes[i..i + data.len()].copy_from_slice(data);
+        self.span_mut(paddr, data.len())?.copy_from_slice(data);
         self.bump_range(paddr, data.len());
         Ok(())
     }
 
-    /// Reads `len` bytes.
-    pub fn read_bytes(&self, paddr: u32, len: usize) -> Result<&[u8], BusError> {
-        let i = self.check(paddr, len as u32)?;
-        Ok(&self.bytes[i..i + len])
+    /// Copies `out.len()` bytes starting at `paddr` into `out`. Any span
+    /// inside [`Memory::size`] can be read, backed or not.
+    pub fn read_into(&self, paddr: u32, out: &mut [u8]) -> Result<(), BusError> {
+        let i = self.check(paddr, out.len())?;
+        let end = self.bytes.len().min(i + out.len());
+        let backed = self.bytes.get(i..end).unwrap_or_default();
+        out[..backed.len()].copy_from_slice(backed);
+        out[backed.len()..].fill(0);
+        Ok(())
     }
 
-    /// Zero-fills a range.
+    /// Zero-fills a range. Only the backed part is touched: the rest
+    /// already reads as zero.
     pub fn zero(&mut self, paddr: u32, len: usize) -> Result<(), BusError> {
-        let i = self.check(paddr, len as u32)?;
-        self.bytes[i..i + len].fill(0);
+        let i = self.check(paddr, len)?;
+        let end = (i + len).min(self.bytes.len());
+        if i < end {
+            self.bytes[i..end].fill(0);
+        }
         self.bump_range(paddr, len);
         Ok(())
     }
@@ -258,10 +329,41 @@ mod tests {
 
     #[test]
     fn bulk_copy_and_zero() {
+        let read = |m: &Memory| {
+            let mut out = [0; 4];
+            m.read_into(4, &mut out).unwrap();
+            out
+        };
         let mut m = Memory::new(16);
         m.write_bytes(4, &[1, 2, 3, 4]).unwrap();
-        assert_eq!(m.read_bytes(4, 4).unwrap(), &[1, 2, 3, 4]);
+        assert_eq!(read(&m), [1, 2, 3, 4]);
         m.zero(5, 2).unwrap();
-        assert_eq!(m.read_bytes(4, 4).unwrap(), &[1, 0, 0, 4]);
+        assert_eq!(read(&m), [1, 0, 0, 4]);
+    }
+
+    #[test]
+    fn only_written_pages_are_backed() {
+        let mut m = Memory::new((3 << 12) + 6);
+        assert_eq!(m.backed_bytes(), 0);
+        assert_eq!(m.read_u32(0x2000).unwrap(), 0, "unbacked reads are zero");
+        // Zeroing never backs anything, but still counts as a write.
+        m.zero(0, 0x3000).unwrap();
+        assert_eq!(m.backed_bytes(), 0);
+        assert_eq!(m.written_pages().count(), 3);
+        // A write backs through the end of its page.
+        m.write_u16(0x1ffe, 0xbeef).unwrap();
+        assert_eq!(m.backed_bytes(), 0x2000);
+        // A read straddling the backed end copies out what is backed.
+        let mut out = [0xff; 4];
+        m.read_into(0x1ffe, &mut out).unwrap();
+        assert_eq!(out, [0xef, 0xbe, 0, 0]);
+        // The partial last page is backed only up to `size`.
+        m.write_u8(0x3005, 9).unwrap();
+        assert_eq!(m.backed_bytes(), m.size());
+        assert_eq!(
+            m.write_u8(0x3006, 1).unwrap_err(),
+            BusError { paddr: 0x3006 }
+        );
+        assert!(m.read_into(0x3000, &mut [0; 7]).is_err());
     }
 }

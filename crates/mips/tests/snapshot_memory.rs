@@ -68,17 +68,22 @@ fn full_scan(m: &Machine) -> Vec<(u32, Vec<u8>)> {
     let mut pages = Vec::new();
     for page_idx in 0..size.div_ceil(SNAP_PAGE) {
         let paddr = page_idx * SNAP_PAGE;
-        let bytes = m
-            .mem()
-            .read_bytes(paddr as u32, SNAP_PAGE.min(size - paddr))
+        let mut page = vec![0; SNAP_PAGE];
+        m.mem()
+            .read_into(paddr as u32, &mut page[..SNAP_PAGE.min(size - paddr)])
             .unwrap();
-        if bytes.iter().any(|&b| b != 0) {
-            let mut page = bytes.to_vec();
-            page.resize(SNAP_PAGE, 0);
+        if page.iter().any(|&b| b != 0) {
             pages.push((page_idx as u32, page));
         }
     }
     pages
+}
+
+/// All of physical memory, copied out.
+fn all_memory(m: &Machine) -> Vec<u8> {
+    let mut out = vec![0; SIZE];
+    m.mem().read_into(0, &mut out).unwrap();
+    out
 }
 
 fn page_indices(s: &MachineState) -> Vec<u32> {
@@ -92,9 +97,7 @@ fn page_versions(m: &Machine) -> Vec<u32> {
 }
 
 fn page_contents(m: &Machine) -> Vec<Vec<u8>> {
-    m.mem()
-        .read_bytes(0, SIZE)
-        .unwrap()
+    all_memory(m)
         .chunks(SNAP_PAGE)
         .map(<[u8]>::to_vec)
         .collect()
@@ -130,7 +133,7 @@ proptest! {
             .restore(&MachineState::from_bytes(&state.to_bytes()).unwrap())
             .unwrap();
         prop_assert!(
-            receiver.mem().read_bytes(0, SIZE).unwrap() == source.mem().read_bytes(0, SIZE).unwrap(),
+            all_memory(&receiver) == all_memory(&source),
             "restored memory differs from the source"
         );
         let after = page_contents(&receiver);

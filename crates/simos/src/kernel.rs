@@ -20,6 +20,7 @@
 use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
+use std::sync::OnceLock;
 
 use efex_mips::asm::{assemble, AsmError, Program};
 use efex_mips::cp0::status;
@@ -53,6 +54,39 @@ tramp_sig:
     syscall
     nop
 "#;
+
+/// The two images every boot installs.
+#[derive(Debug)]
+pub struct BootImages {
+    /// The guest kernel: vectors and fast-path handler
+    /// ([`crate::fastexc::KERNEL_ASM`]).
+    pub kernel: Program,
+    /// The user-space signal trampoline ([`TRAMPOLINE_ASM`]).
+    pub trampoline: Program,
+}
+
+/// The boot images, assembled once per process: they are pure functions of
+/// the embedded sources. Debug builds also assert, on first use, that both
+/// verify clean.
+///
+/// # Errors
+///
+/// Fails if either embedded source does not assemble.
+pub fn boot_images() -> Result<&'static BootImages, AsmError> {
+    static IMAGES: OnceLock<Result<BootImages, AsmError>> = OnceLock::new();
+    IMAGES
+        .get_or_init(|| {
+            let images = BootImages {
+                kernel: assemble(crate::fastexc::KERNEL_ASM)?,
+                trampoline: assemble(TRAMPOLINE_ASM)?,
+            };
+            #[cfg(debug_assertions)]
+            crate::verify::assert_boot_images_verify(&images.kernel, &images.trampoline);
+            Ok(images)
+        })
+        .as_ref()
+        .map_err(Clone::clone)
+}
 
 /// Kernel construction parameters.
 #[derive(Clone, Copy, Debug)]
@@ -252,7 +286,7 @@ pub struct Kernel {
     clock_mhz: f64,
     fixup_unaligned: bool,
     refill_rr: usize,
-    kernel_syms: BTreeMap<String, u32>,
+    kernel_syms: &'static BTreeMap<String, u32>,
     trace: SharedSink,
     trace_path: TracePath,
     metrics: Metrics,
@@ -285,9 +319,9 @@ impl fmt::Debug for Kernel {
 }
 
 impl Kernel {
-    /// Boots the simulated system: builds the machine, assembles and
-    /// installs the guest kernel image (vectors + fast-path handler) and
-    /// the user-space signal trampoline, and creates the initial process.
+    /// Boots the simulated system: builds the machine, installs the guest
+    /// kernel image (vectors + fast-path handler) and the user-space signal
+    /// trampoline ([`boot_images`]), and creates the initial process.
     ///
     /// # Errors
     ///
@@ -295,8 +329,8 @@ impl Kernel {
     pub fn boot(cfg: KernelConfig) -> Result<Kernel, KernelError> {
         let machine_cfg = cfg.machine.unwrap_or_else(MachineConfig::inherited);
         let mut machine = Machine::with_config(cfg.phys_bytes, machine_cfg);
-        let kimage = assemble(crate::fastexc::KERNEL_ASM)?;
-        machine.load_image(&kimage)?;
+        let images = boot_images()?;
+        machine.load_image(&images.kernel)?;
 
         let phys_frames = (cfg.phys_bytes as u32) / PAGE_SIZE;
         let frames = FrameAllocator::new(layout::FIRST_USER_FRAME, phys_frames);
@@ -312,7 +346,7 @@ impl Kernel {
             clock_mhz: cfg.clock_mhz,
             fixup_unaligned: cfg.fixup_unaligned,
             refill_rr: 0,
-            kernel_syms: kimage.symbols().clone(),
+            kernel_syms: images.kernel.symbols(),
             trace: null_sink(),
             trace_path: TracePath::FastUser,
             metrics: Metrics::new(),
@@ -324,10 +358,7 @@ impl Kernel {
             snapshot_restore_divergence: 0,
         };
         // Map and install the user-side runtime (signal trampoline).
-        let tramp = assemble(TRAMPOLINE_ASM)?;
-        kernel.load_user_segments(&tramp)?;
-        #[cfg(debug_assertions)]
-        crate::verify::assert_boot_images_verify(&kimage, &tramp);
+        kernel.load_user_segments(&images.trampoline)?;
         Ok(kernel)
     }
 
@@ -812,12 +843,12 @@ impl Kernel {
                 .space_mut()
                 .ensure_resident(addr, &mut self.frames)?;
             let paddr = (pfn << 12) | (addr & (PAGE_SIZE - 1));
-            let chunk = self
-                .machine
+            let start = out.len();
+            out.resize(start + in_page, 0);
+            self.machine
                 .mem()
-                .read_bytes(paddr, in_page)
+                .read_into(paddr, &mut out[start..])
                 .map_err(|_| KernelError::KernelFault("physical read out of range".into()))?;
-            out.extend_from_slice(chunk);
             addr += in_page as u32;
             rest -= in_page;
         }
@@ -1027,13 +1058,8 @@ impl Kernel {
                 let fresh = pfn << 12;
                 if let Some(src) = stale {
                     if src != fresh {
-                        let copied = self
-                            .machine
-                            .mem()
-                            .read_bytes(src, PAGE_SIZE as usize)
-                            .ok()
-                            .map(<[u8]>::to_vec);
-                        if let Some(bytes) = copied {
+                        let mut bytes = vec![0; PAGE_SIZE as usize];
+                        if self.machine.mem().read_into(src, &mut bytes).is_ok() {
                             let _ = self.machine.mem_mut().write_bytes(fresh, &bytes);
                         }
                     }

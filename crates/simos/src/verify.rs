@@ -104,25 +104,21 @@ pub fn verify_trampoline_image(prog: &Program) -> Report {
 }
 
 /// Debug-build boot assertion: both embedded images must verify clean.
-/// Runs the analysis once per process (it is pure over constant inputs).
+/// [`crate::kernel::boot_images`] runs it once, when it assembles them.
 #[cfg(debug_assertions)]
 pub(crate) fn assert_boot_images_verify(kernel: &Program, trampoline: &Program) {
-    use std::sync::OnceLock;
-    static CHECKED: OnceLock<()> = OnceLock::new();
-    CHECKED.get_or_init(|| {
-        let report = verify_kernel_image(kernel);
-        assert!(
-            report.is_clean(),
-            "kernel image fails static verification:\n{}",
-            report.render()
-        );
-        let report = verify_trampoline_image(trampoline);
-        assert!(
-            report.is_clean(),
-            "trampoline image fails static verification:\n{}",
-            report.render()
-        );
-    });
+    let report = verify_kernel_image(kernel);
+    assert!(
+        report.is_clean(),
+        "kernel image fails static verification:\n{}",
+        report.render()
+    );
+    let report = verify_trampoline_image(trampoline);
+    assert!(
+        report.is_clean(),
+        "trampoline image fails static verification:\n{}",
+        report.render()
+    );
 }
 
 #[cfg(test)]
