@@ -120,8 +120,9 @@ impl FaultCtx<'_> {
     ///
     /// Fails if the page is unmapped.
     pub fn read_raw(&mut self, vaddr: u32) -> Result<u32, CoreError> {
-        let bytes = self.kernel.host_read_bytes(vaddr, 4)?;
-        Ok(u32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]))
+        let mut word = [0; 4];
+        self.kernel.host_read_into(vaddr, &mut word)?;
+        Ok(u32::from_le_bytes(word))
     }
 
     /// Writes a word bypassing protection (kernel rights).
@@ -604,6 +605,18 @@ impl HostProcess {
 
     // --- memory management -------------------------------------------------
 
+    /// Fills `out` from `vaddr` with kernel rights: the bulk form of
+    /// [`GuestMem::read_raw`], one page-table walk per page. Run-time
+    /// systems read heap spans with it.
+    ///
+    /// # Errors
+    ///
+    /// Fails if a page of the span is unmapped.
+    pub fn read_raw_into(&mut self, vaddr: u32, out: &mut [u8]) -> Result<(), CoreError> {
+        self.kernel.host_read_into(vaddr, out)?;
+        Ok(())
+    }
+
     /// Maps a page-aligned region with the given protection.
     ///
     /// # Errors
@@ -841,8 +854,9 @@ impl GuestMem for HostProcess {
                         // Perform the load with kernel rights, leaving the
                         // protection in place.
                         self.kernel.charge(efex_simos::costs::SUBPAGE_EMULATE);
-                        let bytes = self.kernel.host_read_bytes(addr, 4)?;
-                        return Ok(u32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]));
+                        let mut word = [0; 4];
+                        self.kernel.host_read_into(addr, &mut word)?;
+                        return Ok(u32::from_le_bytes(word));
                     }
                     HandlerAction::Abort => unreachable!("deliver maps Abort to Err"),
                 },
@@ -883,8 +897,9 @@ impl GuestMem for HostProcess {
     /// Reads a word with kernel rights (no faults, no delivery): run-time
     /// system internals such as GC scanning use this.
     fn read_raw(&mut self, vaddr: u32) -> Result<u32, CoreError> {
-        let bytes = self.kernel.host_read_bytes(vaddr, 4)?;
-        Ok(u32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]))
+        let mut word = [0; 4];
+        self.kernel.host_read_into(vaddr, &mut word)?;
+        Ok(u32::from_le_bytes(word))
     }
 
     fn write_raw(&mut self, vaddr: u32, value: u32) -> Result<(), CoreError> {

@@ -537,8 +537,9 @@ impl GuestMem for System {
     }
 
     fn read_raw(&mut self, vaddr: u32) -> Result<u32, CoreError> {
-        let bytes = self.kernel.host_read_bytes(vaddr, 4)?;
-        Ok(u32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]))
+        let mut word = [0; 4];
+        self.kernel.host_read_into(vaddr, &mut word)?;
+        Ok(u32::from_le_bytes(word))
     }
 
     fn write_raw(&mut self, vaddr: u32, value: u32) -> Result<(), CoreError> {

@@ -371,10 +371,8 @@ impl Dsm {
         self.stats.page_transfers += 1;
         self.nodes[to].charge(self.cfg.page_transfer_cycles);
         let addr = self.base + page as u32 * PAGE_SIZE;
-        let bytes = self.nodes[from]
-            .kernel_mut()
-            .host_read_bytes(addr, PAGE_SIZE as usize)
-            .map_err(CoreError::from)?;
+        let mut bytes = [0; PAGE_SIZE as usize];
+        self.nodes[from].read_raw_into(addr, &mut bytes)?;
         self.nodes[to]
             .kernel_mut()
             .host_write_bytes(addr, &bytes)

@@ -577,24 +577,28 @@ impl Gc {
     fn scan_range_for_young(&mut self, from: u32, to: u32, gray: &mut Vec<u32>) {
         let words = u64::from((to - from) / 4);
         self.host.charge(self.cfg.scan_cycles * words);
-        for addr in (from..to).step_by(4) {
-            let Ok(word) = self.host.read_raw(addr) else {
-                continue;
-            };
-            let s = self.st.borrow();
-            if let Some(base) = s.find_object(word) {
-                if !s.objects[&base].old {
-                    drop(s);
-                    gray.push(base);
+        let st = &self.st;
+        for_each_word(
+            &mut self.host,
+            &mut [0; PAGE_SIZE as usize],
+            from,
+            to,
+            |word| {
+                let s = st.borrow();
+                if let Some(base) = s.find_object(word) {
+                    if !s.objects[&base].old {
+                        gray.push(base);
+                    }
                 }
-            }
-        }
+            },
+        );
     }
 
     /// Marks transitively. With `trace_old` false (minor), traversal stays
     /// within the young generation (old objects are implicitly live and
     /// their young references are covered by the remembered records).
     fn trace(&mut self, mut gray: Vec<u32>, trace_old: bool) {
+        let mut page: PageBuf = [0; PAGE_SIZE as usize];
         while let Some(base) = gray.pop() {
             let words = {
                 let mut s = self.st.borrow_mut();
@@ -609,19 +613,16 @@ impl Gc {
             };
             self.host.charge(self.cfg.mark_cycles);
             self.host.charge(self.cfg.scan_cycles * u64::from(words));
-            for i in 0..words {
-                let Ok(word) = self.host.read_raw(base + i * 4) else {
-                    continue;
-                };
-                let s = self.st.borrow();
+            let st = &self.st;
+            for_each_word(&mut self.host, &mut page, base, base + words * 4, |word| {
+                let s = st.borrow();
                 if let Some(target) = s.find_object(word) {
                     let o = &s.objects[&target];
                     if !o.marked && (trace_old || !o.old) {
-                        drop(s);
                         gray.push(target);
                     }
                 }
-            }
+            });
         }
     }
 
@@ -730,6 +731,33 @@ impl Gc {
             debug_assert!(r.is_ok(), "reprotect failed: {r:?}");
             i += 1;
         }
+    }
+}
+
+/// One page of host memory for [`for_each_word`].
+type PageBuf = [u8; PAGE_SIZE as usize];
+
+/// Calls `visit` on each word of `[from, to)`, reading it from the host a
+/// page at a time, with kernel rights, through `page`. The words of a page
+/// that cannot be read are skipped, as a `read_raw` per word would skip
+/// them.
+fn for_each_word(
+    host: &mut HostProcess,
+    page: &mut PageBuf,
+    from: u32,
+    to: u32,
+    mut visit: impl FnMut(u32),
+) {
+    let mut addr = from;
+    while addr < to {
+        let end = (addr & !(PAGE_SIZE - 1)).saturating_add(PAGE_SIZE).min(to);
+        let span = &mut page[..(end - addr) as usize];
+        if host.read_raw_into(addr, span).is_ok() {
+            for word in span.chunks_exact(4) {
+                visit(u32::from_le_bytes(word.try_into().expect("4 bytes")));
+            }
+        }
+        addr = end;
     }
 }
 

@@ -5,8 +5,8 @@
 //! machine turns into a bus-error exception.
 //!
 //! A machine has an architectural size (16 MB for a booted kernel), but a
-//! guest touches little of it: the kernel image sits in the first pages and
-//! user frames are handed out upward from 1 MB. So the host store is a flat
+//! guest touches little of it: the kernel image and u-area fill page 0 and
+//! user frames are handed out upward from page 1. So the host store is a flat
 //! byte vector that covers only a prefix of physical memory — up to the end
 //! of the highest page ever written — and every byte past it reads as zero.
 //! Building, cloning and snapshotting a machine cost what the guest wrote,
@@ -119,6 +119,18 @@ impl Memory {
         }
     }
 
+    /// Bumps the page of an `N`-byte access at `paddr` and, if its last
+    /// byte lies in the next page, that page too. Guest accesses are aligned
+    /// and never straddle, so they pay one extra compare.
+    #[inline(always)]
+    fn bump_access<const N: usize>(&mut self, paddr: u32) {
+        self.bump_page(paddr);
+        let last = paddr.wrapping_add(N as u32 - 1);
+        if last >> PAGE_SHIFT != paddr >> PAGE_SHIFT {
+            self.bump_page(last);
+        }
+    }
+
     fn bump_range(&mut self, paddr: u32, len: usize) {
         if len == 0 {
             return;
@@ -208,14 +220,14 @@ impl Memory {
     /// Writes a halfword.
     pub fn write_u16(&mut self, paddr: u32, v: u16) -> Result<(), BusError> {
         self.span_mut(paddr, 2)?.copy_from_slice(&v.to_le_bytes());
-        self.bump_page(paddr);
+        self.bump_access::<2>(paddr);
         Ok(())
     }
 
     /// Writes a word.
     pub fn write_u32(&mut self, paddr: u32, v: u32) -> Result<(), BusError> {
         self.span_mut(paddr, 4)?.copy_from_slice(&v.to_le_bytes());
-        self.bump_page(paddr);
+        self.bump_access::<4>(paddr);
         Ok(())
     }
 
@@ -313,6 +325,20 @@ mod tests {
         // Storing a zero is a write.
         m.write_u8(0x3fff, 0).unwrap();
         assert_eq!(written(&m), [0, 1, 2, 3]);
+    }
+
+    #[test]
+    fn a_straddling_word_or_halfword_bumps_both_pages() {
+        let mut m = Memory::new(3 << 12);
+        m.write_u32(0x0ffe, 4).unwrap();
+        assert_eq!((m.page_version(0), m.page_version(0x1000)), (1, 1));
+        m.write_u16(0x1fff, 5).unwrap();
+        assert_eq!((m.page_version(0x1000), m.page_version(0x2000)), (2, 1));
+        assert_eq!(m.written_pages().collect::<Vec<_>>(), [0, 1, 2]);
+        // An aligned access inside one page bumps only that page.
+        m.write_u32(0x2ffc, 6).unwrap();
+        assert_eq!(m.page_version(0x2000), 2);
+        assert_eq!(m.read_u32(0x0ffe).unwrap(), 4);
     }
 
     #[test]

@@ -44,16 +44,14 @@ impl Model {
         self.span(paddr, len).map(|r| self.bytes[r].to_vec())
     }
 
-    /// Writes `data`, bumping every page it touches; a word or halfword
-    /// bumps only the page of its first byte, as `Memory` does.
-    fn write(&mut self, paddr: u32, data: &[u8], whole_range: bool) -> Result<(), BusError> {
+    /// Writes `data`, bumping every page it touches.
+    fn write(&mut self, paddr: u32, data: &[u8]) -> Result<(), BusError> {
         let r = self.span(paddr, data.len())?;
         self.bytes[r.clone()].copy_from_slice(data);
         if r.is_empty() {
             return Ok(());
         }
-        let last = if whole_range { r.end - 1 } else { r.start };
-        for v in &mut self.versions[r.start / PAGE..=last / PAGE] {
+        for v in &mut self.versions[r.start / PAGE..=(r.end - 1) / PAGE] {
             *v += 1;
         }
         Ok(())
@@ -167,24 +165,24 @@ proptest! {
                 }
                 Op::Write8(a, v) => {
                     let a = at(a);
-                    prop_assert_eq!(mem.write_u8(a, v), model.write(a, &[v], false));
+                    prop_assert_eq!(mem.write_u8(a, v), model.write(a, &[v]));
                 }
                 Op::Write16(a, v) => {
                     let a = at(a);
-                    prop_assert_eq!(mem.write_u16(a, v), model.write(a, &v.to_le_bytes(), false));
+                    prop_assert_eq!(mem.write_u16(a, v), model.write(a, &v.to_le_bytes()));
                 }
                 Op::Write32(a, v) => {
                     let a = at(a);
-                    prop_assert_eq!(mem.write_u32(a, v), model.write(a, &v.to_le_bytes(), false));
+                    prop_assert_eq!(mem.write_u32(a, v), model.write(a, &v.to_le_bytes()));
                 }
                 Op::WriteBytes(a, n, seed) => {
                     let a = at(a);
                     let data: Vec<u8> = (0..n).map(|i| seed.wrapping_add(i as u8)).collect();
-                    prop_assert_eq!(mem.write_bytes(a, &data), model.write(a, &data, true));
+                    prop_assert_eq!(mem.write_bytes(a, &data), model.write(a, &data));
                 }
                 Op::Zero(a, n) => {
                     let a = at(a);
-                    prop_assert_eq!(mem.zero(a, n), model.write(a, &vec![0; n], true));
+                    prop_assert_eq!(mem.zero(a, n), model.write(a, &vec![0; n]));
                 }
                 Op::Clone => mem = mem.clone(),
             }

@@ -565,16 +565,16 @@ impl Pstore {
                 .filter(|o| s.resident[o.0 as usize])
                 .collect()
         };
+        let slots_per_page = self.shared.borrow().graph.slots_per_page();
+        let mut page = vec![0; 4 * slots_per_page as usize];
         for oid in resident {
-            let (base, slots_per_page) = {
-                let s = self.shared.borrow();
-                (s.vbase(oid), s.graph.slots_per_page())
-            };
+            let base = self.shared.borrow().vbase(oid);
+            // Unswizzle with kernel rights: checkpointing is the store's own
+            // code, not application pointer use.
+            self.host.read_raw_into(base, &mut page)?;
             let mut slots = Vec::with_capacity(slots_per_page as usize);
-            for i in 0..slots_per_page {
-                // Unswizzle with kernel rights: checkpointing is the
-                // store's own code, not application pointer use.
-                let word = self.host.read_raw(base + 4 * i)?;
+            for word in page.chunks_exact(4) {
+                let word = u32::from_le_bytes(word.try_into().expect("4 bytes"));
                 // A pointer in either form — swizzled (vaddr) or still
                 // tagged (vaddr+2) — unswizzles to its target's OID.
                 let slot = {

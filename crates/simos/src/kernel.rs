@@ -827,32 +827,32 @@ impl Kernel {
         Ok(())
     }
 
-    /// Reads raw bytes from the address space with kernel rights.
+    /// Fills `out` from the address space at `vaddr` with kernel rights,
+    /// paging in any mapped page that is not resident.
     ///
     /// # Errors
     ///
-    /// Fails if a page is unmapped.
-    pub fn host_read_bytes(&mut self, vaddr: u32, len: usize) -> Result<Vec<u8>, KernelError> {
-        let mut out = Vec::with_capacity(len);
+    /// Fails if a page of the span is unmapped or memory is exhausted; the
+    /// pages before it may already have been paged in.
+    pub fn host_read_into(&mut self, vaddr: u32, out: &mut [u8]) -> Result<(), KernelError> {
         let mut addr = vaddr;
-        let mut rest = len;
-        while rest > 0 {
-            let in_page = ((PAGE_SIZE - (addr % PAGE_SIZE)) as usize).min(rest);
+        let mut rest = out;
+        while !rest.is_empty() {
+            let in_page = ((PAGE_SIZE - (addr % PAGE_SIZE)) as usize).min(rest.len());
             let (pfn, _) = self
                 .proc
                 .space_mut()
                 .ensure_resident(addr, &mut self.frames)?;
             let paddr = (pfn << 12) | (addr & (PAGE_SIZE - 1));
-            let start = out.len();
-            out.resize(start + in_page, 0);
+            let (chunk, tail) = rest.split_at_mut(in_page);
             self.machine
                 .mem()
-                .read_into(paddr, &mut out[start..])
+                .read_into(paddr, chunk)
                 .map_err(|_| KernelError::KernelFault("physical read out of range".into()))?;
             addr += in_page as u32;
-            rest -= in_page;
+            rest = tail;
         }
-        Ok(out)
+        Ok(())
     }
 
     // --- protection services ----------------------------------------------
@@ -1058,7 +1058,7 @@ impl Kernel {
                 let fresh = pfn << 12;
                 if let Some(src) = stale {
                     if src != fresh {
-                        let mut bytes = vec![0; PAGE_SIZE as usize];
+                        let mut bytes = [0; PAGE_SIZE as usize];
                         if self.machine.mem().read_into(src, &mut bytes).is_ok() {
                             let _ = self.machine.mem_mut().write_bytes(fresh, &bytes);
                         }
@@ -1599,11 +1599,9 @@ impl Kernel {
         match inst {
             Lw { rt, .. } | Lh { rt, .. } | Lhu { rt, .. } => {
                 let width = if matches!(inst, Lw { .. }) { 4 } else { 2 };
-                let bytes = self.host_read_bytes(bad, width)?;
-                let mut v: u32 = 0;
-                for (i, b) in bytes.iter().enumerate() {
-                    v |= u32::from(*b) << (8 * i);
-                }
+                let mut bytes = [0; 4];
+                self.host_read_into(bad, &mut bytes[..width])?;
+                let v = u32::from_le_bytes(bytes);
                 let v = match inst {
                     Lh { .. } => v as u16 as i16 as i32 as u32,
                     _ => v,
@@ -1829,12 +1827,22 @@ impl Kernel {
             nr::WRITE => {
                 self.machine
                     .charge_cycles(costs::ULTRIX_SYSCALL_WRAPPER + u64::from(a1));
-                match self.host_read_bytes(a0, a1 as usize) {
-                    Ok(bytes) => {
-                        self.console.extend_from_slice(&bytes);
-                        ret = a1 as i32;
+                // Page-sized chunks: a bad length faults on an unmapped
+                // page instead of sizing a host buffer.
+                let start = self.console.len();
+                let mut chunk = [0; PAGE_SIZE as usize];
+                let (mut addr, mut left) = (a0, a1 as usize);
+                ret = a1 as i32;
+                while left > 0 {
+                    let n = left.min(chunk.len());
+                    if self.host_read_into(addr, &mut chunk[..n]).is_err() {
+                        self.console.truncate(start);
+                        ret = -errno::EFAULT;
+                        break;
                     }
-                    Err(_) => ret = -errno::EFAULT,
+                    self.console.extend_from_slice(&chunk[..n]);
+                    addr = addr.wrapping_add(n as u32);
+                    left -= n;
                 }
             }
             nr::SIGACTION => {
@@ -2031,6 +2039,32 @@ mod tests {
         // The general vector holds the first decode instruction.
         let w = k.machine.mem().read_u32(0x80).unwrap();
         assert_ne!(w, 0, "vector must contain code");
+    }
+
+    #[test]
+    fn host_read_pages_in_a_mapped_page_and_reads_zero() {
+        let mut k = boot();
+        let base = layout::USER_DATA_VADDR;
+        k.map_user_region(base, PAGE_SIZE, Prot::ReadWrite).unwrap();
+        assert_eq!(k.proc.space().pte(base).unwrap().pfn, None);
+        let mut out = [0xa5; 16];
+        k.host_read_into(base + 8, &mut out).unwrap();
+        assert_eq!(out, [0; 16]);
+        assert!(k.proc.space().pte(base).unwrap().pfn.is_some(), "paged in");
+    }
+
+    #[test]
+    fn host_read_of_a_span_with_an_unmapped_page_is_an_error() {
+        let mut k = boot();
+        let last_word = layout::USER_DATA_VADDR + PAGE_SIZE - 4;
+        k.map_user_region(layout::USER_DATA_VADDR, PAGE_SIZE, Prot::ReadWrite)
+            .unwrap();
+        k.host_write_bytes(last_word, &[1, 2, 3, 4]).unwrap();
+        let mut out = [0; 8];
+        assert!(k.host_read_into(last_word, &mut out).is_err());
+        let mut word = [0; 4];
+        k.host_read_into(last_word, &mut word).unwrap();
+        assert_eq!(word, [1, 2, 3, 4], "the mapped page alone reads back");
     }
 
     #[test]

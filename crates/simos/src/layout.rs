@@ -38,13 +38,11 @@ pub mod uarea {
     pub const SCRATCH: u32 = 0x10;
 }
 
-/// Kernel code (fast-path handler body, trampolines' kernel side) starts
-/// here, after the two hardware vectors.
-pub const KERNEL_TEXT_VADDR: u32 = 0x8000_2000;
-
-/// First physical frame handed to the allocator; everything below is
-/// kernel image + vectors + u-area.
-pub const FIRST_USER_FRAME: u32 = 0x0010_0000 / PAGE_SIZE;
+/// First physical frame handed to the allocator. Frame 0 holds the whole
+/// kernel image (both vectors and the fast-path handler) and the u-area;
+/// user pages start in the frame after it, so a booted machine backs only
+/// the frames its guest uses.
+pub const FIRST_USER_FRAME: u32 = 1;
 
 // --- user space (KUSEG virtual addresses) -------------------------------
 
@@ -110,11 +108,37 @@ mod tests {
         assert!(USER_RUNTIME_VADDR < USER_DATA_VADDR);
         assert!(USER_DATA_VADDR < COMM_PAGE_VADDR);
         assert!(COMM_PAGE_VADDR + PAGE_SIZE <= USER_STACK_TOP);
+    }
+
+    /// The kernel image and the u-area sit below the first user frame, so a
+    /// growing kernel image can never share a frame with user pages.
+    #[test]
+    fn kernel_frames_end_below_the_first_user_frame() {
+        /// Bytes reserved for the u-area's fields and scratch space.
+        const UAREA_BYTES: u32 = 0x200;
+        let first_user_paddr = FIRST_USER_FRAME * PAGE_SIZE;
+        let images = crate::kernel::boot_images().expect("boot images assemble");
+        let mut kernel_end = 0;
+        for seg in images.kernel.segments() {
+            assert!(
+                seg.addr >= 0x8000_0000,
+                "kernel segment {:#x} in KSEG0",
+                seg.addr
+            );
+            let end = seg.addr - 0x8000_0000 + seg.bytes.len() as u32;
+            assert!(
+                end <= first_user_paddr,
+                "kernel segment {:#x} ends at paddr {end:#x}, past frame {FIRST_USER_FRAME}",
+                seg.addr
+            );
+            kernel_end = kernel_end.max(end);
+        }
+        let uarea = UAREA_VADDR - 0x8000_0000;
         assert!(
-            UAREA_VADDR >= 0x8000_0200,
-            "u-area must be clear of vectors"
+            uarea >= kernel_end,
+            "u-area must be clear of the kernel image"
         );
-        assert!(UAREA_VADDR + 0x200 <= KERNEL_TEXT_VADDR);
+        assert!(uarea + UAREA_BYTES <= first_user_paddr);
     }
 
     #[test]
