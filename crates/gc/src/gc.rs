@@ -15,6 +15,9 @@ use efex_trace::{Snapshot, StatsSnapshot};
 use crate::config::{BarrierKind, GcConfig};
 use crate::heap::{BlockGen, HeapState, Obj, ObjRef, Value};
 
+/// A page of zeros, the source for [`Gc::zero_pages`].
+static ZERO_PAGE: [u8; PAGE_SIZE as usize] = [0; PAGE_SIZE as usize];
+
 /// Collector statistics.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct GcStats {
@@ -141,7 +144,7 @@ impl Gc {
                             && s.contains(info.vaddr)
                         {
                             let page = HeapState::page_of(info.vaddr);
-                            s.dirty_pages.insert(page);
+                            s.mark_dirty(info.vaddr);
                             if !eager {
                                 // Without eager amplification the handler must
                                 // re-enable access itself before retrying.
@@ -170,7 +173,7 @@ impl Gc {
                             && s.contains(info.vaddr)
                         {
                             let sub = info.vaddr & !(SUBPAGE_SIZE - 1);
-                            s.dirty_pages.insert(sub);
+                            s.mark_dirty(info.vaddr);
                             // Release only this 1 KB subpage: the rest of the
                             // page keeps faulting (or being kernel-emulated)
                             // so dirty tracking stays fine-grained.
@@ -265,7 +268,7 @@ impl Gc {
 
     /// Number of live objects in the table.
     pub fn live_objects(&self) -> usize {
-        self.st.borrow().objects.len()
+        self.st.borrow().len()
     }
 
     // --- allocation --------------------------------------------------------
@@ -310,7 +313,7 @@ impl Gc {
             let addr = page + s.cur_off;
             s.cur_off += bytes;
             s.bytes_since_minor += bytes;
-            s.objects.insert(
+            s.insert(
                 addr,
                 Obj {
                     words,
@@ -335,15 +338,10 @@ impl Gc {
     pub fn alloc_large(&mut self, words: u32) -> Result<ObjRef, GcError> {
         let pages = (words * 4).div_ceil(PAGE_SIZE);
         self.host.charge(self.cfg.alloc_cycles * u64::from(pages));
-        let run = self.find_free_run(pages).ok_or(GcError::OutOfMemory)?;
-        {
+        let run = {
             let mut s = self.st.borrow_mut();
-            for i in 0..pages {
-                let page = run + i * PAGE_SIZE;
-                s.free_pages.retain(|p| *p != page);
-                s.blocks.insert(page, BlockGen::Young);
-            }
-            s.objects.insert(
+            let run = s.take_free_run(pages).ok_or(GcError::OutOfMemory)?;
+            s.insert(
                 run,
                 Obj {
                     words,
@@ -351,7 +349,8 @@ impl Gc {
                     marked: false,
                 },
             );
-        }
+            run
+        };
         self.zero_pages(run, pages)?;
         self.stats.objects_allocated += 1;
         self.stats.bytes_allocated += u64::from(words) * 4;
@@ -362,7 +361,7 @@ impl Gc {
     /// its array in the old generation before the measured phase).
     pub fn promote(&mut self, obj: ObjRef) {
         let mut s = self.st.borrow_mut();
-        let Some(o) = s.objects.get_mut(&obj.addr()) else {
+        let Some(o) = s.get_mut(obj.addr()) else {
             return;
         };
         o.old = true;
@@ -370,7 +369,7 @@ impl Gc {
         let first = HeapState::page_of(obj.addr());
         let last = HeapState::page_of(obj.addr() + words * 4 - 1);
         for page in (first..=last).step_by(PAGE_SIZE as usize) {
-            s.blocks.insert(page, BlockGen::Old);
+            s.set_generation(page, BlockGen::Old);
         }
         // The current allocation page may have just become old: retire it.
         if s.cur_page.is_some_and(|p| (first..=last).contains(&p)) {
@@ -384,52 +383,25 @@ impl Gc {
     fn take_young_page(&mut self) -> Result<bool, GcError> {
         let page = {
             let mut s = self.st.borrow_mut();
-            match s.free_pages.pop() {
-                Some(p) => {
-                    s.blocks.insert(p, BlockGen::Young);
-                    s.cur_page = Some(p);
-                    s.cur_off = 0;
-                    p
-                }
-                None => return Ok(false),
-            }
+            let Some(p) = s.take_free_page() else {
+                return Ok(false);
+            };
+            s.cur_page = Some(p);
+            s.cur_off = 0;
+            p
         };
         self.zero_pages(page, 1)?;
         Ok(true)
-    }
-
-    fn find_free_run(&self, pages: u32) -> Option<u32> {
-        let s = self.st.borrow();
-        let mut sorted: Vec<u32> = s.free_pages.clone();
-        sorted.sort_unstable();
-        let mut run_start = None;
-        let mut run_len = 0;
-        for p in sorted {
-            match run_start {
-                Some(start) if p == start + run_len * PAGE_SIZE => {
-                    run_len += 1;
-                }
-                _ => {
-                    run_start = Some(p);
-                    run_len = 1;
-                }
-            }
-            if run_len == pages {
-                return run_start;
-            }
-        }
-        None
     }
 
     fn zero_pages(&mut self, base: u32, pages: u32) -> Result<(), GcError> {
         // Model a block-zeroing loop: one cycle per word.
         self.host
             .charge(u64::from(pages) * u64::from(PAGE_SIZE / 4));
-        let zeros = vec![0u8; PAGE_SIZE as usize];
         for i in 0..pages {
             self.host
                 .kernel_mut()
-                .host_write_bytes(base + i * PAGE_SIZE, &zeros)
+                .host_write_bytes(base + i * PAGE_SIZE, &ZERO_PAGE)
                 .map_err(CoreError::from)?;
         }
         Ok(())
@@ -476,7 +448,7 @@ impl Gc {
 
     fn object_info(&self, obj: ObjRef) -> Result<(u32, bool), GcError> {
         let s = self.st.borrow();
-        let o = s.objects.get(&obj.addr()).ok_or(GcError::BadField {
+        let o = s.get(obj.addr()).ok_or(GcError::BadField {
             obj,
             index: 0,
             size: 0,
@@ -511,8 +483,8 @@ impl Gc {
         {
             let s = self.st.borrow();
             for r in &s.roots {
-                if let Some(base) = s.find_object(*r) {
-                    if !s.objects[&base].old {
+                if let Some((base, o)) = s.find(*r) {
+                    if !o.old {
                         gray.push(base);
                     }
                 }
@@ -522,14 +494,14 @@ impl Gc {
         // Old-to-young pointers from the barrier's records.
         match self.cfg.barrier {
             BarrierKind::PageProtection => {
-                let dirty: Vec<u32> = self.st.borrow().dirty_pages.iter().copied().collect();
+                let dirty = self.st.borrow().dirty_pages();
                 for page in dirty {
                     self.scan_range_for_young(page, page + PAGE_SIZE, &mut gray);
                 }
             }
             BarrierKind::SubpageProtection => {
                 // Dirty entries are 1 KB subpages: a quarter of the scan.
-                let dirty: Vec<u32> = self.st.borrow().dirty_pages.iter().copied().collect();
+                let dirty = self.st.borrow().dirty_subpages();
                 for sub in dirty {
                     self.scan_range_for_young(sub, sub + SUBPAGE_SIZE, &mut gray);
                 }
@@ -539,10 +511,8 @@ impl Gc {
                 self.host.charge(self.cfg.scan_cycles * slots.len() as u64);
                 for slot in slots {
                     if let Ok(word) = self.host.read_raw(slot) {
-                        let s = self.st.borrow();
-                        if let Some(base) = s.find_object(word) {
-                            if !s.objects[&base].old {
-                                drop(s);
+                        if let Some((base, o)) = self.st.borrow().find(word) {
+                            if !o.old {
                                 gray.push(base);
                             }
                         }
@@ -584,9 +554,8 @@ impl Gc {
             from,
             to,
             |word| {
-                let s = st.borrow();
-                if let Some(base) = s.find_object(word) {
-                    if !s.objects[&base].old {
+                if let Some((base, o)) = st.borrow().find(word) {
+                    if !o.old {
                         gray.push(base);
                     }
                 }
@@ -602,7 +571,7 @@ impl Gc {
         while let Some(base) = gray.pop() {
             let words = {
                 let mut s = self.st.borrow_mut();
-                let Some(o) = s.objects.get_mut(&base) else {
+                let Some(o) = s.get_mut(base) else {
                     continue;
                 };
                 if o.marked || (!trace_old && o.old) {
@@ -615,9 +584,7 @@ impl Gc {
             self.host.charge(self.cfg.scan_cycles * u64::from(words));
             let st = &self.st;
             for_each_word(&mut self.host, &mut page, base, base + words * 4, |word| {
-                let s = st.borrow();
-                if let Some(target) = s.find_object(word) {
-                    let o = &s.objects[&target];
+                if let Some((target, o)) = st.borrow().find(word) {
                     if !o.marked && (trace_old || !o.old) {
                         gray.push(target);
                     }
@@ -629,69 +596,7 @@ impl Gc {
     /// Sweeps: frees unmarked objects (young only on minor collections),
     /// promotes marked young objects, releases empty pages, clears marks.
     fn sweep(&mut self, major: bool) {
-        let mut freed = 0u64;
-        let mut promoted = 0u64;
-        let mut s = self.st.borrow_mut();
-
-        // Decide each object's fate.
-        let mut dead: Vec<u32> = Vec::new();
-        for (base, o) in s.objects.iter_mut() {
-            if o.old && !major {
-                continue;
-            }
-            if o.marked {
-                if !o.old {
-                    o.old = true;
-                    promoted += 1;
-                }
-            } else {
-                dead.push(*base);
-            }
-            o.marked = false;
-        }
-        for base in &dead {
-            s.objects.remove(base);
-            freed += 1;
-        }
-        // Clear any stale marks on old objects after a minor collection.
-        if !major {
-            for o in s.objects.values_mut() {
-                o.marked = false;
-            }
-        }
-
-        // Recompute page states: a page with any object is old (survivors
-        // were promoted); an empty page returns to the free pool.
-        let pages: Vec<u32> = s.blocks.keys().copied().collect();
-        let cur = s.cur_page;
-        for page in pages {
-            let occupied = {
-                // An object overlaps this page if it starts before the page
-                // ends and ends after the page starts.
-                s.objects
-                    .range(..page + PAGE_SIZE)
-                    .next_back()
-                    .is_some_and(|(b, o)| b + o.words * 4 > page)
-            };
-            if occupied {
-                s.blocks.insert(page, BlockGen::Old);
-            } else if Some(page) != cur {
-                s.blocks.remove(&page);
-                s.free_pages.push(page);
-            } else {
-                // The active allocation page stays young even if empty.
-                s.blocks.insert(page, BlockGen::Young);
-            }
-        }
-        // The current allocation page becomes old if anything on it
-        // survived; retire it from allocation in that case.
-        if let Some(p) = cur {
-            if s.blocks.get(&p) == Some(&BlockGen::Old) {
-                s.cur_page = None;
-                s.cur_off = 0;
-            }
-        }
-        drop(s);
+        let (freed, promoted) = self.st.borrow_mut().sweep(major);
         self.stats.objects_freed += freed;
         self.stats.objects_promoted += promoted;
     }
@@ -701,12 +606,12 @@ impl Gc {
     /// `mprotect` would be used in practice.
     fn reprotect_old(&mut self) {
         if self.cfg.barrier == BarrierKind::SoftwareCheck {
-            self.st.borrow_mut().dirty_pages.clear();
+            self.st.borrow_mut().clear_dirty();
             return;
         }
         let old_pages = {
             let mut s = self.st.borrow_mut();
-            s.dirty_pages.clear();
+            s.clear_dirty();
             s.old_pages()
         };
         let mut i = 0;
