@@ -7,6 +7,17 @@
 //! their R3000 latencies, TLB management ops pay a small CP0 cost, and
 //! exception entry flushes the pipeline for [`EXCEPTION_ENTRY`] cycles.
 //!
+//! ## One static cost
+//!
+//! [`static_cost`] is the one definition of what an instruction charges:
+//! the interpreter's `step`, every superblock op, the verifier's cycle
+//! bounds and the kernel's composed bench cases all call it. An instruction
+//! that faults pays it too. The one dynamic case is a privileged TLB op
+//! (`tlbr`, `tlbwi`, `tlbwr`, `tlbp`) refused in user mode: the privilege
+//! check comes before the TLB work, so it pays only [`BASE`] before it
+//! raises `CopUnusable`. [`charged`] is [`static_cost`] with that case.
+//! (`utlbp` is legal in user mode and always pays [`TLB_OP`].)
+//!
 //! ## Calibration anchors (from the paper)
 //!
 //! - *"the architectural limit for an exception that enters the kernel and
@@ -18,6 +29,8 @@
 //!   general-purpose syscall wrapper.
 //!
 //! All reported microseconds are `cycles / clock_mhz`.
+
+use crate::isa::Instruction;
 
 /// Default simulated clock, MHz (DECstation 5000/200).
 pub const CLOCK_MHZ: f64 = 25.0;
@@ -51,6 +64,33 @@ pub const USER_VECTOR_ENTRY: u64 = 4;
 /// general-purpose entry/exit wrapper.
 pub const ULTRIX_NULL_SYSCALL: u64 = 300;
 
+/// The cycles one instruction costs: [`BASE`], plus [`MEM_ACCESS`] for a load
+/// or store, plus [`MULT`], [`DIV`] or [`TLB_OP`] as the opcode needs.
+#[inline(always)]
+pub fn static_cost(inst: Instruction) -> u64 {
+    use Instruction::*;
+    BASE + match inst {
+        Mult { .. } | Multu { .. } => MULT,
+        Div { .. } | Divu { .. } => DIV,
+        Tlbr | Tlbwi | Tlbwr | Tlbp | Utlbp { .. } => TLB_OP,
+        _ if inst.is_memory_access() => MEM_ACCESS,
+        _ => 0,
+    }
+}
+
+/// The cycles the machine charges for `inst` in the given mode: its
+/// [`static_cost`], except that a privileged TLB op refused in user mode
+/// pays only [`BASE`] (see the module docs).
+#[inline(always)]
+pub fn charged(inst: Instruction, user: bool) -> u64 {
+    use Instruction::*;
+    if user && matches!(inst, Tlbr | Tlbwi | Tlbwr | Tlbp) {
+        BASE
+    } else {
+        static_cost(inst)
+    }
+}
+
 /// Converts a cycle count to microseconds at a given clock.
 pub fn to_micros(cycles: u64, clock_mhz: f64) -> f64 {
     cycles as f64 / clock_mhz
@@ -70,6 +110,28 @@ mod tests {
         assert_eq!(to_micros(250, CLOCK_MHZ), 10.0);
         assert_eq!(from_micros(10.0, CLOCK_MHZ), 250);
         assert_eq!(from_micros(to_micros(12345, CLOCK_MHZ), CLOCK_MHZ), 12345);
+    }
+
+    #[test]
+    fn static_cost_charges_each_latency() {
+        use crate::isa::{Instruction, Reg};
+        let (rs, rt) = (Reg::T0, Reg::T1);
+        assert_eq!(static_cost(Instruction::NOP), BASE);
+        let lw = Instruction::Lw {
+            rt,
+            base: rs,
+            imm: 0,
+        };
+        assert_eq!(static_cost(lw), BASE + MEM_ACCESS);
+        assert_eq!(static_cost(Instruction::Multu { rs, rt }), BASE + MULT);
+        assert_eq!(static_cost(Instruction::Div { rs, rt }), BASE + DIV);
+        assert_eq!(static_cost(Instruction::Tlbwr), BASE + TLB_OP);
+        assert_eq!(charged(Instruction::Tlbwr, true), BASE);
+        let utlbp = Instruction::Utlbp {
+            rs,
+            op: crate::isa::TlbProtOp::WriteEnable,
+        };
+        assert_eq!(charged(utlbp, true), BASE + TLB_OP);
     }
 
     #[test]

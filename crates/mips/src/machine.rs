@@ -28,6 +28,7 @@ use crate::exception::{ExcCode, Exception};
 use crate::isa::{Instruction, Reg, TlbProtOp};
 use crate::mem::Memory;
 use crate::profile::Profiler;
+use crate::sem;
 use crate::tlb::{Tlb, TlbFault};
 
 /// General exception vector (all exceptions except user-space TLB refills).
@@ -392,9 +393,9 @@ struct SbOp {
     /// The raw instruction word (trace events record it).
     word: u32,
     inst: Instruction,
-    /// Static part of the cycle cost (`BASE` + `MEM_ACCESS` for loads and
-    /// stores); `execute` adds dynamic extras (mult/div, TLB ops) on top.
-    base_cost: u64,
+    /// [`cycles::static_cost`] of `inst` (no op in a block is a privileged
+    /// TLB op, so none can be refused at a lower charge).
+    cost: u64,
     /// Control transfer — the op after it (if present) is its delay slot,
     /// and a block never extends past that slot.
     is_ct: bool,
@@ -464,15 +465,6 @@ fn ends_block(inst: Instruction) -> bool {
         inst,
         Mtc0 { .. } | Tlbr | Tlbwi | Tlbwr | Tlbp | Utlbp { .. } | Rfe | Xpcu
     )
-}
-
-/// Static per-op cycle cost (the dynamic extras stay in `execute`).
-fn sb_base_cost(inst: Instruction) -> u64 {
-    let mut cost = cycles::BASE;
-    if inst.is_memory_access() {
-        cost += cycles::MEM_ACCESS;
-    }
-    cost
 }
 
 /// The simulated machine.
@@ -1102,7 +1094,7 @@ impl Machine {
             ops.push(SbOp {
                 word,
                 inst,
-                base_cost: sb_base_cost(inst),
+                cost: cycles::static_cost(inst),
                 is_ct,
                 is_store: inst.is_store(),
             });
@@ -1118,7 +1110,7 @@ impl Machine {
                                 ops.push(SbOp {
                                     word: w,
                                     inst: di,
-                                    base_cost: sb_base_cost(di),
+                                    cost: cycles::static_cost(di),
                                     is_ct: false,
                                     is_store: di.is_store(),
                                 });
@@ -1170,8 +1162,8 @@ impl Machine {
             self.cpu.pc = self.cpu.next_pc;
             self.cpu.next_pc = self.cpu.next_pc.wrapping_add(4);
             self.prev_was_branch = op.is_ct;
-            let mut cost = op.base_cost;
-            let outcome = self.execute(op.inst, pc, in_delay, user, &mut cost);
+            let cost = op.cost;
+            let outcome = self.execute(op.inst, pc, user);
             self.cycles += cost;
             *remaining -= 1;
             match outcome {
@@ -1280,12 +1272,8 @@ impl Machine {
         self.cpu.next_pc = self.cpu.next_pc.wrapping_add(4);
         self.prev_was_branch = inst.is_control_transfer();
 
-        let mut cost = cycles::BASE;
-        if inst.is_memory_access() {
-            cost += cycles::MEM_ACCESS;
-        }
-
-        let outcome = self.execute(inst, pc, in_delay, user, &mut cost);
+        let cost = cycles::charged(inst, user);
+        let outcome = self.execute(inst, pc, user);
 
         self.cycles += cost;
         match outcome {
@@ -1358,23 +1346,19 @@ impl Machine {
         page.lines[((pc >> 2) & 0x3ff) as usize] = Some((word, inst));
     }
 
-    fn execute(
-        &mut self,
-        inst: Instruction,
-        pc: u32,
-        in_delay: bool,
-        user: bool,
-        cost: &mut u64,
-    ) -> Exec {
+    /// Executes a decoded instruction. Everything the ALU, branch and
+    /// load/store arms compute comes from [`sem`]: each opcode has its own
+    /// arm so that the `#[inline(always)]` `sem` call folds its inner match.
+    fn execute(&mut self, inst: Instruction, pc: u32, user: bool) -> Exec {
         use Instruction::*;
         let c = &mut self.cpu;
         match inst {
-            Sll { rd, rt, shamt } => c.set_reg(rd, c.reg(rt) << shamt),
-            Srl { rd, rt, shamt } => c.set_reg(rd, c.reg(rt) >> shamt),
-            Sra { rd, rt, shamt } => c.set_reg(rd, ((c.reg(rt) as i32) >> shamt) as u32),
-            Sllv { rd, rt, rs } => c.set_reg(rd, c.reg(rt) << (c.reg(rs) & 31)),
-            Srlv { rd, rt, rs } => c.set_reg(rd, c.reg(rt) >> (c.reg(rs) & 31)),
-            Srav { rd, rt, rs } => c.set_reg(rd, ((c.reg(rt) as i32) >> (c.reg(rs) & 31)) as u32),
+            Sll { rd, rt, .. } => return c.alu(inst, rd, 0, c.reg(rt)),
+            Srl { rd, rt, .. } => return c.alu(inst, rd, 0, c.reg(rt)),
+            Sra { rd, rt, .. } => return c.alu(inst, rd, 0, c.reg(rt)),
+            Sllv { rd, rt, rs } => return c.alu(inst, rd, c.reg(rs), c.reg(rt)),
+            Srlv { rd, rt, rs } => return c.alu(inst, rd, c.reg(rs), c.reg(rt)),
+            Srav { rd, rt, rs } => return c.alu(inst, rd, c.reg(rs), c.reg(rt)),
             Jr { rs } => c.next_pc = c.reg(rs),
             Jalr { rd, rs } => {
                 let target = c.reg(rs);
@@ -1388,19 +1372,16 @@ impl Machine {
             Mflo { rd } => c.set_reg(rd, c.lo),
             Mtlo { rs } => c.lo = c.reg(rs),
             Mult { rs, rt } => {
-                *cost += cycles::MULT;
                 let p = i64::from(c.reg(rs) as i32) * i64::from(c.reg(rt) as i32);
                 c.lo = p as u32;
                 c.hi = (p >> 32) as u32;
             }
             Multu { rs, rt } => {
-                *cost += cycles::MULT;
                 let p = u64::from(c.reg(rs)) * u64::from(c.reg(rt));
                 c.lo = p as u32;
                 c.hi = (p >> 32) as u32;
             }
             Div { rs, rt } => {
-                *cost += cycles::DIV;
                 let (a, b) = (c.reg(rs) as i32, c.reg(rt) as i32);
                 // MIPS-I: division by zero is silent; HI/LO stay undefined.
                 #[allow(clippy::manual_checked_ops)]
@@ -1411,7 +1392,6 @@ impl Machine {
                 // Division by zero leaves HI/LO undefined; we leave them be.
             }
             Divu { rs, rt } => {
-                *cost += cycles::DIV;
                 let (a, b) = (c.reg(rs), c.reg(rt));
                 // MIPS-I: division by zero is silent; HI/LO stay undefined.
                 #[allow(clippy::manual_checked_ops)]
@@ -1420,89 +1400,44 @@ impl Machine {
                     c.hi = a % b;
                 }
             }
-            Add { rd, rs, rt } => match (c.reg(rs) as i32).checked_add(c.reg(rt) as i32) {
-                Some(v) => c.set_reg(rd, v as u32),
-                None => return Exec::Fault(ExcCode::Overflow, None),
-            },
-            Addu { rd, rs, rt } => c.set_reg(rd, c.reg(rs).wrapping_add(c.reg(rt))),
-            Sub { rd, rs, rt } => match (c.reg(rs) as i32).checked_sub(c.reg(rt) as i32) {
-                Some(v) => c.set_reg(rd, v as u32),
-                None => return Exec::Fault(ExcCode::Overflow, None),
-            },
-            Subu { rd, rs, rt } => c.set_reg(rd, c.reg(rs).wrapping_sub(c.reg(rt))),
-            And { rd, rs, rt } => c.set_reg(rd, c.reg(rs) & c.reg(rt)),
-            Or { rd, rs, rt } => c.set_reg(rd, c.reg(rs) | c.reg(rt)),
-            Xor { rd, rs, rt } => c.set_reg(rd, c.reg(rs) ^ c.reg(rt)),
-            Nor { rd, rs, rt } => c.set_reg(rd, !(c.reg(rs) | c.reg(rt))),
-            Slt { rd, rs, rt } => c.set_reg(rd, ((c.reg(rs) as i32) < (c.reg(rt) as i32)) as u32),
-            Sltu { rd, rs, rt } => c.set_reg(rd, (c.reg(rs) < c.reg(rt)) as u32),
-            Beq { rs, rt, imm } => {
-                if c.reg(rs) == c.reg(rt) {
-                    c.next_pc = branch_target(pc, imm);
-                }
-            }
-            Bne { rs, rt, imm } => {
-                if c.reg(rs) != c.reg(rt) {
-                    c.next_pc = branch_target(pc, imm);
-                }
-            }
-            Blez { rs, imm } => {
-                if (c.reg(rs) as i32) <= 0 {
-                    c.next_pc = branch_target(pc, imm);
-                }
-            }
-            Bgtz { rs, imm } => {
-                if (c.reg(rs) as i32) > 0 {
-                    c.next_pc = branch_target(pc, imm);
-                }
-            }
-            Bltz { rs, imm } => {
-                if (c.reg(rs) as i32) < 0 {
-                    c.next_pc = branch_target(pc, imm);
-                }
-            }
-            Bgez { rs, imm } => {
-                if (c.reg(rs) as i32) >= 0 {
-                    c.next_pc = branch_target(pc, imm);
-                }
-            }
-            Bltzal { rs, imm } => {
-                let taken = (c.reg(rs) as i32) < 0;
-                c.set_reg(Reg::RA, pc.wrapping_add(8));
-                if taken {
-                    c.next_pc = branch_target(pc, imm);
-                }
-            }
-            Bgezal { rs, imm } => {
-                let taken = (c.reg(rs) as i32) >= 0;
-                c.set_reg(Reg::RA, pc.wrapping_add(8));
-                if taken {
-                    c.next_pc = branch_target(pc, imm);
-                }
-            }
-            Addi { rt, rs, imm } => match (c.reg(rs) as i32).checked_add(i32::from(imm)) {
-                Some(v) => c.set_reg(rt, v as u32),
-                None => return Exec::Fault(ExcCode::Overflow, None),
-            },
-            Addiu { rt, rs, imm } => c.set_reg(rt, c.reg(rs).wrapping_add(imm as i32 as u32)),
-            Slti { rt, rs, imm } => c.set_reg(rt, ((c.reg(rs) as i32) < i32::from(imm)) as u32),
-            Sltiu { rt, rs, imm } => c.set_reg(rt, (c.reg(rs) < (imm as i32 as u32)) as u32),
-            Andi { rt, rs, imm } => c.set_reg(rt, c.reg(rs) & u32::from(imm)),
-            Ori { rt, rs, imm } => c.set_reg(rt, c.reg(rs) | u32::from(imm)),
-            Xori { rt, rs, imm } => c.set_reg(rt, c.reg(rs) ^ u32::from(imm)),
-            Lui { rt, imm } => c.set_reg(rt, u32::from(imm) << 16),
-            Lb { rt, base, imm } => return self.load(rt, base, imm, 1, true, user),
-            Lh { rt, base, imm } => return self.load(rt, base, imm, 2, true, user),
-            Lw { rt, base, imm } => return self.load(rt, base, imm, 4, false, user),
-            Lbu { rt, base, imm } => return self.load(rt, base, imm, 1, false, user),
-            Lhu { rt, base, imm } => return self.load(rt, base, imm, 2, false, user),
-            Sb { rt, base, imm } => return self.store(rt, base, imm, 1, user),
-            Sh { rt, base, imm } => return self.store(rt, base, imm, 2, user),
-            Sw { rt, base, imm } => return self.store(rt, base, imm, 4, user),
-            J { target } => c.next_pc = (pc.wrapping_add(4) & 0xf000_0000) | (target << 2),
+            Add { rd, rs, rt } => return c.alu(inst, rd, c.reg(rs), c.reg(rt)),
+            Addu { rd, rs, rt } => return c.alu(inst, rd, c.reg(rs), c.reg(rt)),
+            Sub { rd, rs, rt } => return c.alu(inst, rd, c.reg(rs), c.reg(rt)),
+            Subu { rd, rs, rt } => return c.alu(inst, rd, c.reg(rs), c.reg(rt)),
+            And { rd, rs, rt } => return c.alu(inst, rd, c.reg(rs), c.reg(rt)),
+            Or { rd, rs, rt } => return c.alu(inst, rd, c.reg(rs), c.reg(rt)),
+            Xor { rd, rs, rt } => return c.alu(inst, rd, c.reg(rs), c.reg(rt)),
+            Nor { rd, rs, rt } => return c.alu(inst, rd, c.reg(rs), c.reg(rt)),
+            Slt { rd, rs, rt } => return c.alu(inst, rd, c.reg(rs), c.reg(rt)),
+            Sltu { rd, rs, rt } => return c.alu(inst, rd, c.reg(rs), c.reg(rt)),
+            Beq { rs, rt, imm } => c.branch(inst, pc, c.reg(rs), c.reg(rt), imm),
+            Bne { rs, rt, imm } => c.branch(inst, pc, c.reg(rs), c.reg(rt), imm),
+            Blez { rs, imm } => c.branch(inst, pc, c.reg(rs), 0, imm),
+            Bgtz { rs, imm } => c.branch(inst, pc, c.reg(rs), 0, imm),
+            Bltz { rs, imm } => c.branch(inst, pc, c.reg(rs), 0, imm),
+            Bgez { rs, imm } => c.branch(inst, pc, c.reg(rs), 0, imm),
+            Bltzal { rs, imm } => c.link_branch(inst, pc, c.reg(rs), imm),
+            Bgezal { rs, imm } => c.link_branch(inst, pc, c.reg(rs), imm),
+            Addi { rt, rs, .. } => return c.alu(inst, rt, c.reg(rs), 0),
+            Addiu { rt, rs, .. } => return c.alu(inst, rt, c.reg(rs), 0),
+            Slti { rt, rs, .. } => return c.alu(inst, rt, c.reg(rs), 0),
+            Sltiu { rt, rs, .. } => return c.alu(inst, rt, c.reg(rs), 0),
+            Andi { rt, rs, .. } => return c.alu(inst, rt, c.reg(rs), 0),
+            Ori { rt, rs, .. } => return c.alu(inst, rt, c.reg(rs), 0),
+            Xori { rt, rs, .. } => return c.alu(inst, rt, c.reg(rs), 0),
+            Lui { rt, .. } => return c.alu(inst, rt, 0, 0),
+            Lb { .. } => return self.access(inst, user),
+            Lh { .. } => return self.access(inst, user),
+            Lw { .. } => return self.access(inst, user),
+            Lbu { .. } => return self.access(inst, user),
+            Lhu { .. } => return self.access(inst, user),
+            Sb { .. } => return self.access(inst, user),
+            Sh { .. } => return self.access(inst, user),
+            Sw { .. } => return self.access(inst, user),
+            J { target } => c.next_pc = sem::jump_target(pc, target),
             Jal { target } => {
                 c.set_reg(Reg::RA, pc.wrapping_add(8));
-                c.next_pc = (pc.wrapping_add(4) & 0xf000_0000) | (target << 2);
+                c.next_pc = sem::jump_target(pc, target);
             }
             Mfc0 { rt, rd } => {
                 if user && !user_cp0_reg(rd) {
@@ -1522,7 +1457,6 @@ impl Machine {
                 if user {
                     return Exec::Fault(ExcCode::CopUnusable, None);
                 }
-                *cost += cycles::TLB_OP;
                 let idx = ((self.cp0.index >> 8) & 0x3f) as usize;
                 let e = self.tlb.read(idx % crate::tlb::TLB_ENTRIES);
                 self.cp0.entry_hi = e.entry_hi();
@@ -1532,7 +1466,6 @@ impl Machine {
                 if user {
                     return Exec::Fault(ExcCode::CopUnusable, None);
                 }
-                *cost += cycles::TLB_OP;
                 let idx = ((self.cp0.index >> 8) & 0x3f) as usize;
                 let e = crate::tlb::TlbEntry::from_raw(self.cp0.entry_hi, self.cp0.entry_lo);
                 self.tlb.write(idx % crate::tlb::TLB_ENTRIES, e);
@@ -1541,7 +1474,6 @@ impl Machine {
                 if user {
                     return Exec::Fault(ExcCode::CopUnusable, None);
                 }
-                *cost += cycles::TLB_OP;
                 // Random replacement avoids the 8 wired entries, like the
                 // R3000; the CP0 "random" value is a deterministic counter.
                 let idx = 8 + (self.cp0.random as usize % (crate::tlb::TLB_ENTRIES - 8));
@@ -1553,7 +1485,6 @@ impl Machine {
                 if user {
                     return Exec::Fault(ExcCode::CopUnusable, None);
                 }
-                *cost += cycles::TLB_OP;
                 let vaddr = self.cp0.entry_hi & 0xffff_f000;
                 let asid = ((self.cp0.entry_hi >> 6) & 0x3f) as u8;
                 match self.tlb.probe(vaddr, asid) {
@@ -1578,7 +1509,6 @@ impl Machine {
                 self.cp0.status &= !status::UXA;
             }
             Utlbp { rs, op } => {
-                *cost += cycles::TLB_OP;
                 let vaddr = self.cpu.reg(rs);
                 return self.utlbp(vaddr, op, user);
             }
@@ -1589,54 +1519,54 @@ impl Machine {
                 return Exec::HostCall(code);
             }
         }
-        if in_delay {
-            // Delay-slot instruction executed normally; nothing special.
-        }
         Exec::Ok
     }
 
-    fn load(&mut self, rt: Reg, base: Reg, imm: i16, width: u32, sign: bool, user: bool) -> Exec {
-        let vaddr = self.cpu.reg(base).wrapping_add(imm as i32 as u32);
-        if !vaddr.is_multiple_of(width) {
+    /// Runs a load or store with the registers, width and extension
+    /// [`sem::mem_access`] gives it.
+    #[inline(always)]
+    fn access(&mut self, inst: Instruction, user: bool) -> Exec {
+        match sem::mem_access(inst) {
+            Some(a) if a.store => self.store(a, user),
+            Some(a) => self.load(a, user),
+            None => Exec::Fault(ExcCode::ReservedInstr, None),
+        }
+    }
+
+    fn load(&mut self, a: sem::MemAccess, user: bool) -> Exec {
+        let vaddr = a.vaddr(self.cpu.reg(a.base));
+        if !vaddr.is_multiple_of(a.width) {
             return Exec::Fault(ExcCode::AddrErrLoad, Some(vaddr));
         }
         let paddr = match self.translate(vaddr, Access::Load, user) {
             Ok(p) => p,
             Err((code, bad)) => return Exec::Fault(code, Some(bad)),
         };
-        let raw = match width {
+        let raw = match a.width {
             1 => self.mem.read_u8(paddr).map(u32::from),
             2 => self.mem.read_u16(paddr).map(u32::from),
             _ => self.mem.read_u32(paddr),
         };
-        let v = match raw {
-            Ok(v) => v,
-            Err(_) => return Exec::Fault(Access::Load.bus_err(), Some(vaddr)),
-        };
-        let v = if sign {
-            match width {
-                1 => v as u8 as i8 as i32 as u32,
-                2 => v as u16 as i16 as i32 as u32,
-                _ => v,
+        match raw {
+            Ok(v) => {
+                self.cpu.set_reg(a.rt, a.extend(v));
+                Exec::Ok
             }
-        } else {
-            v
-        };
-        self.cpu.set_reg(rt, v);
-        Exec::Ok
+            Err(_) => Exec::Fault(Access::Load.bus_err(), Some(vaddr)),
+        }
     }
 
-    fn store(&mut self, rt: Reg, base: Reg, imm: i16, width: u32, user: bool) -> Exec {
-        let vaddr = self.cpu.reg(base).wrapping_add(imm as i32 as u32);
-        if !vaddr.is_multiple_of(width) {
+    fn store(&mut self, a: sem::MemAccess, user: bool) -> Exec {
+        let vaddr = a.vaddr(self.cpu.reg(a.base));
+        if !vaddr.is_multiple_of(a.width) {
             return Exec::Fault(ExcCode::AddrErrStore, Some(vaddr));
         }
         let paddr = match self.translate(vaddr, Access::Store, user) {
             Ok(p) => p,
             Err((code, bad)) => return Exec::Fault(code, Some(bad)),
         };
-        let v = self.cpu.reg(rt);
-        let res = match width {
+        let v = self.cpu.reg(a.rt);
+        let res = match a.width {
             1 => self.mem.write_u8(paddr, v as u8),
             2 => self.mem.write_u16(paddr, v as u16),
             _ => self.mem.write_u32(paddr, v),
@@ -1853,9 +1783,37 @@ enum Exec {
     Fault(ExcCode, Option<u32>),
 }
 
-fn branch_target(pc: u32, imm: i16) -> u32 {
-    pc.wrapping_add(4)
-        .wrapping_add((i32::from(imm) << 2) as u32)
+impl Cpu {
+    /// Writes the [`sem::alu_result`] of a foldable ALU op to `dst`, given
+    /// its `rs` and `rt` operand values. A trapping add/sub that overflows
+    /// has no result: it writes nothing and faults.
+    #[inline(always)]
+    fn alu(&mut self, inst: Instruction, dst: Reg, rs: u32, rt: u32) -> Exec {
+        match sem::alu_result(inst, rs, rt) {
+            Some(v) => {
+                self.set_reg(dst, v);
+                Exec::Ok
+            }
+            None => Exec::Fault(ExcCode::Overflow, None),
+        }
+    }
+
+    /// Redirects the conditional branch at `pc` to its [`sem::branch_target`]
+    /// when [`sem::branch_taken`] holds for the operand values.
+    #[inline(always)]
+    fn branch(&mut self, inst: Instruction, pc: u32, rs: u32, rt: u32, imm: i16) {
+        if sem::branch_taken(inst, rs, rt) == Some(true) {
+            self.next_pc = sem::branch_target(pc, imm);
+        }
+    }
+
+    /// `bltzal`/`bgezal`: links `$ra` whether or not the branch is taken.
+    /// The condition uses `rs` as read before the link write.
+    #[inline(always)]
+    fn link_branch(&mut self, inst: Instruction, pc: u32, rs: u32, imm: i16) {
+        self.set_reg(Reg::RA, pc.wrapping_add(8));
+        self.branch(inst, pc, rs, 0, imm);
+    }
 }
 
 fn tlb_fault_code(f: TlbFault, access: Access) -> ExcCode {
@@ -2402,26 +2360,6 @@ mod tests {
         let r = m.run(1).unwrap();
         assert_eq!(r, StopReason::StepLimit, "hcall must not stop in user mode");
         assert_eq!(m.cp0().exc_code(), Some(ExcCode::CopUnusable));
-    }
-
-    #[test]
-    fn cycle_accounting_accumulates() {
-        let words = [
-            encode(Instruction::Addiu {
-                rt: Reg::T0,
-                rs: Reg::ZERO,
-                imm: 1,
-            }),
-            encode(Instruction::Lw {
-                rt: Reg::T1,
-                base: Reg::ZERO,
-                imm: 0, // vaddr 0: TLB miss in kernel mode? No — kernel KUSEG miss
-            }),
-        ];
-        let mut m = machine_with(&words[..1], 0x8000_1000);
-        m.step().unwrap();
-        assert_eq!(m.cycles(), cycles::BASE);
-        let _ = words;
     }
 
     #[test]

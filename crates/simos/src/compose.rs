@@ -281,7 +281,7 @@ pub fn bench_case(
             .word_at(fault_site)
             .unwrap_or_else(|| panic!("no code at fault_site"));
         let inst = decode(word).expect("fault_site instruction decodes");
-        efex_verify::diag::static_cost(inst)
+        cycles::static_cost(inst)
     };
     let class = kind.class();
 

@@ -29,6 +29,7 @@ use efex_mips::decode::decode;
 use efex_mips::exception::ExcCode;
 use efex_mips::isa::{Instruction, Reg};
 use efex_mips::machine::{kseg_to_phys, Machine, MachineConfig, MachineError, StopReason};
+use efex_mips::sem;
 use efex_mips::tlb::TLB_ENTRIES;
 use efex_trace::{null_sink, EventKind, FaultClass, Metrics, SharedSink, TraceEvent, TracePath};
 
@@ -1594,27 +1595,8 @@ impl Kernel {
             epc.wrapping_add(4)
         };
 
-        use Instruction::*;
         // Byte-wise access through the page table (may straddle a page).
-        match inst {
-            Lw { rt, .. } | Lh { rt, .. } | Lhu { rt, .. } => {
-                let width = if matches!(inst, Lw { .. }) { 4 } else { 2 };
-                let mut bytes = [0; 4];
-                self.host_read_into(bad, &mut bytes[..width])?;
-                let v = u32::from_le_bytes(bytes);
-                let v = match inst {
-                    Lh { .. } => v as u16 as i16 as i32 as u32,
-                    _ => v,
-                };
-                self.machine.cpu_mut().set_reg(rt, v);
-            }
-            Sw { rt, .. } | Sh { rt, .. } => {
-                let width = if matches!(inst, Sw { .. }) { 4 } else { 2 };
-                let v = self.machine.cpu().reg(rt);
-                self.host_write_bytes(bad, &v.to_le_bytes()[..width])?;
-            }
-            other => return Err(KernelError::KernelFault(format!("cannot fix up {other}"))),
-        }
+        self.emulate_access(inst, bad)?;
         // The fixup costs a full kernel entry plus the emulation work; the
         // paper's point is that this is still cheaper than a signal but far
         // from free.
@@ -1651,52 +1633,7 @@ impl Kernel {
             epc.wrapping_add(4)
         };
 
-        // Perform the access with kernel rights, straight at the frame.
-        let (pfn, _) = self
-            .proc
-            .space_mut()
-            .ensure_resident(bad, &mut self.frames)?;
-        let paddr = (pfn << 12) | (bad & (PAGE_SIZE - 1));
-        use Instruction::*;
-        match inst {
-            Sw { rt, .. } => {
-                let v = self.machine.cpu().reg(rt);
-                let _ = self.machine.mem_mut().write_u32(paddr, v);
-            }
-            Sh { rt, .. } => {
-                let v = self.machine.cpu().reg(rt) as u16;
-                let _ = self.machine.mem_mut().write_u16(paddr, v);
-            }
-            Sb { rt, .. } => {
-                let v = self.machine.cpu().reg(rt) as u8;
-                let _ = self.machine.mem_mut().write_u8(paddr, v);
-            }
-            Lw { rt, .. } => {
-                let v = self.machine.mem().read_u32(paddr).unwrap_or(0);
-                self.machine.cpu_mut().set_reg(rt, v);
-            }
-            Lh { rt, .. } => {
-                let v = self.machine.mem().read_u16(paddr).unwrap_or(0) as i16 as i32 as u32;
-                self.machine.cpu_mut().set_reg(rt, v);
-            }
-            Lhu { rt, .. } => {
-                let v = u32::from(self.machine.mem().read_u16(paddr).unwrap_or(0));
-                self.machine.cpu_mut().set_reg(rt, v);
-            }
-            Lb { rt, .. } => {
-                let v = self.machine.mem().read_u8(paddr).unwrap_or(0) as i8 as i32 as u32;
-                self.machine.cpu_mut().set_reg(rt, v);
-            }
-            Lbu { rt, .. } => {
-                let v = u32::from(self.machine.mem().read_u8(paddr).unwrap_or(0));
-                self.machine.cpu_mut().set_reg(rt, v);
-            }
-            other => {
-                return Err(KernelError::KernelFault(format!(
-                    "unexpected instruction {other} in subpage emulation"
-                )))
-            }
-        }
+        self.emulate_access(inst, bad)?;
         self.proc.stats.subpage_emulations += 1;
 
         // Continue past the access: sequentially, or at the branch target
@@ -1704,6 +1641,26 @@ impl Kernel {
         // calls this case out).
         self.resume_user_at(next);
         Ok(())
+    }
+
+    /// Performs the load or store `inst` at `vaddr` with kernel rights,
+    /// byte-wise through the page table (so an unaligned access may straddle
+    /// a page), with the width and extension [`sem::mem_access`] gives it.
+    fn emulate_access(&mut self, inst: Instruction, vaddr: u32) -> Result<(), KernelError> {
+        let a = sem::mem_access(inst).ok_or_else(|| {
+            KernelError::KernelFault(format!("cannot emulate {inst}: not a load or store"))
+        })?;
+        let width = a.width as usize;
+        if a.store {
+            let v = self.machine.cpu().reg(a.rt);
+            self.host_write_bytes(vaddr, &v.to_le_bytes()[..width])
+        } else {
+            let mut bytes = [0; 4];
+            self.host_read_into(vaddr, &mut bytes[..width])?;
+            let v = a.extend(u32::from_le_bytes(bytes));
+            self.machine.cpu_mut().set_reg(a.rt, v);
+            Ok(())
+        }
     }
 
     /// Computes where the branch at `branch_pc` goes, given current
@@ -1724,86 +1681,37 @@ impl Kernel {
         let inst = decode(word)
             .map_err(|e| KernelError::KernelFault(format!("cannot decode branch: {e}")))?;
         let cpu = self.machine.cpu();
-        let reg = |r: Reg| cpu.reg(r);
-        let rel = |imm: i16| {
-            branch_pc
-                .wrapping_add(4)
-                .wrapping_add((i32::from(imm) << 2) as u32)
-        };
-        let seq = branch_pc.wrapping_add(8);
         use Instruction::*;
-        let target = match inst {
-            Jalr { rd, rs } if rd == rs => {
-                return Err(KernelError::Delivery {
-                    reason: format!(
-                        "jalr with rd == rs ({rs}) at {branch_pc:#010x}: link write clobbered \
-                         the jump target; architecturally unpredictable"
-                    ),
-                    epc: branch_pc,
-                });
+        match inst {
+            Jalr { rd, rs } if rd == rs => Err(KernelError::Delivery {
+                reason: format!(
+                    "jalr with rd == rs ({rs}) at {branch_pc:#010x}: link write clobbered \
+                     the jump target; architecturally unpredictable"
+                ),
+                epc: branch_pc,
+            }),
+            Bltzal { rs, .. } | Bgezal { rs, .. } if rs == Reg::RA => Err(KernelError::Delivery {
+                reason: format!(
+                    "branch-and-link testing $ra at {branch_pc:#010x}: link write clobbered \
+                     the condition; architecturally unpredictable"
+                ),
+                epc: branch_pc,
+            }),
+            J { target } | Jal { target } => Ok(sem::jump_target(branch_pc, target)),
+            Jr { rs } | Jalr { rs, .. } => Ok(cpu.reg(rs)),
+            _ => {
+                let (rs, rt, imm) = sem::branch_operands(inst).ok_or_else(|| {
+                    KernelError::KernelFault(format!("instruction {inst} is not a branch"))
+                })?;
+                Ok(
+                    if sem::branch_taken(inst, cpu.reg(rs), cpu.reg(rt)) == Some(true) {
+                        sem::branch_target(branch_pc, imm)
+                    } else {
+                        branch_pc.wrapping_add(8)
+                    },
+                )
             }
-            Bltzal { rs, .. } | Bgezal { rs, .. } if rs == Reg::RA => {
-                return Err(KernelError::Delivery {
-                    reason: format!(
-                        "branch-and-link testing $ra at {branch_pc:#010x}: link write clobbered \
-                         the condition; architecturally unpredictable"
-                    ),
-                    epc: branch_pc,
-                });
-            }
-            Beq { rs, rt, imm } => {
-                if reg(rs) == reg(rt) {
-                    rel(imm)
-                } else {
-                    seq
-                }
-            }
-            Bne { rs, rt, imm } => {
-                if reg(rs) != reg(rt) {
-                    rel(imm)
-                } else {
-                    seq
-                }
-            }
-            Blez { rs, imm } => {
-                if (reg(rs) as i32) <= 0 {
-                    rel(imm)
-                } else {
-                    seq
-                }
-            }
-            Bgtz { rs, imm } => {
-                if (reg(rs) as i32) > 0 {
-                    rel(imm)
-                } else {
-                    seq
-                }
-            }
-            Bltz { rs, imm } | Bltzal { rs, imm } => {
-                if (reg(rs) as i32) < 0 {
-                    rel(imm)
-                } else {
-                    seq
-                }
-            }
-            Bgez { rs, imm } | Bgezal { rs, imm } => {
-                if (reg(rs) as i32) >= 0 {
-                    rel(imm)
-                } else {
-                    seq
-                }
-            }
-            J { target } | Jal { target } => {
-                (branch_pc.wrapping_add(4) & 0xf000_0000) | (target << 2)
-            }
-            Jr { rs } | Jalr { rs, .. } => reg(rs),
-            other => {
-                return Err(KernelError::KernelFault(format!(
-                    "instruction {other} is not a branch"
-                )))
-            }
-        };
-        Ok(target)
+        }
     }
 
     // --- syscall dispatch -------------------------------------------------------

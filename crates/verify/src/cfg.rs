@@ -12,6 +12,7 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use efex_mips::asm::Program;
 use efex_mips::decode::decode;
 use efex_mips::isa::Instruction;
+use efex_mips::sem::{branch_target, jump_target};
 
 use crate::diag::{Finding, Lint, Report};
 use crate::VerifyConfig;
@@ -33,18 +34,6 @@ pub struct Node {
 #[derive(Clone, PartialEq, Eq, Debug, Default)]
 pub struct Cfg {
     nodes: BTreeMap<u32, Node>,
-}
-
-/// The branch target of a PC-relative branch at `addr`.
-pub fn branch_target(addr: u32, imm: i16) -> u32 {
-    addr.wrapping_add(4)
-        .wrapping_add((i32::from(imm) << 2) as u32)
-}
-
-/// The absolute target of a `j`/`jal` at `addr` (26-bit field within the
-/// current 256 MB region).
-pub fn jump_target(addr: u32, target: u32) -> u32 {
-    (addr.wrapping_add(4) & 0xf000_0000) | (target << 2)
 }
 
 /// Statically-known transfer targets of a control transfer, from the

@@ -4,12 +4,13 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use efex_mips::asm::Program;
+use efex_mips::cycles::static_cost;
 use efex_mips::isa::{Instruction, Reg};
 
 use crate::absint::{effective_address, AbsVal, RegState};
 use crate::cfg::Cfg;
 use crate::defuse;
-use crate::diag::{static_cost, Finding, Lint, PathBounds, PhaseBound, Report};
+use crate::diag::{Finding, Lint, PathBounds, PhaseBound, Report};
 use crate::VerifyConfig;
 
 /// Delay-slot and critical-path hazard lints.

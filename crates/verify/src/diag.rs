@@ -2,7 +2,7 @@
 
 use efex_mips::asm::Program;
 use efex_mips::disasm::disassemble_at;
-use efex_mips::isa::{Instruction, Reg};
+use efex_mips::isa::Reg;
 use std::fmt;
 
 /// The kind of defect a [`Finding`] reports.
@@ -252,26 +252,4 @@ impl Report {
         }
         out
     }
-}
-
-/// The per-instruction cost charged by the simulator's single-issue model
-/// (base + memory + multiply/divide/TLB latencies) — the static side of the
-/// cycle bound.
-pub fn static_cost(inst: Instruction) -> u64 {
-    use efex_mips::cycles;
-    let mut cost = cycles::BASE;
-    if inst.is_memory_access() {
-        cost += cycles::MEM_ACCESS;
-    }
-    match inst {
-        Instruction::Mult { .. } | Instruction::Multu { .. } => cost += cycles::MULT,
-        Instruction::Div { .. } | Instruction::Divu { .. } => cost += cycles::DIV,
-        Instruction::Tlbr
-        | Instruction::Tlbwi
-        | Instruction::Tlbwr
-        | Instruction::Tlbp
-        | Instruction::Utlbp { .. } => cost += cycles::TLB_OP,
-        _ => {}
-    }
-    cost
 }

@@ -37,12 +37,12 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use efex_mips::cp0::{cause, status, Cp0Reg};
+use efex_mips::cycles::static_cost;
 use efex_mips::exception::ExcCode;
 use efex_mips::isa::{Instruction, Reg};
-use efex_mips::sem;
+use efex_mips::sem::{self, branch_target, jump_target};
 
-use crate::cfg::{branch_target, jump_target};
-use crate::diag::{static_cost, Finding, Lint};
+use crate::diag::{Finding, Lint};
 use crate::interproc::{CallGraph, Images};
 
 // ---------------------------------------------------------------------------
@@ -178,6 +178,17 @@ fn eval_alu(inst: Instruction, a: SymVal, b: SymVal) -> SymVal {
     }
 }
 
+/// The address a load or store reaches: its base register plus offset,
+/// folded like an `addiu`.
+fn effective_addr(p: &Path, a: sem::MemAccess) -> SymVal {
+    let addiu = Instruction::Addiu {
+        rt: Reg::ZERO,
+        rs: Reg::ZERO,
+        imm: a.imm,
+    };
+    eval_alu(addiu, p.reg(a.base), SymVal::known(0))
+}
+
 fn concrete(v: SymVal) -> Option<u32> {
     v.as_const()
 }
@@ -246,7 +257,6 @@ fn bits_binop(inst: Instruction, a: SymVal, b: SymVal) -> SymVal {
             ),
             None => SymVal::Top,
         },
-        Lui { imm, .. } => SymVal::known((imm as u32) << 16),
         _ => SymVal::Top,
     }
 }
@@ -974,22 +984,13 @@ impl<'a> Engine<'a> {
 
     fn step_transfer(&mut self, p: &mut Path, pc: u32, inst: Instruction) -> Step {
         // Branch decisions and jump targets read pre-slot state.
-        let decision = match inst {
-            Instruction::Beq { rs, rt, .. } | Instruction::Bne { rs, rt, .. } => {
-                if rs == rt {
-                    sem::branch_taken(inst, 0, 0)
-                } else {
-                    branch_decision(inst, p.reg(rs), p.reg(rt))
-                }
+        let decision = sem::branch_operands(inst).and_then(|(rs, rt, _)| {
+            if rs == rt {
+                sem::branch_taken(inst, 0, 0)
+            } else {
+                branch_decision(inst, p.reg(rs), p.reg(rt))
             }
-            Instruction::Blez { rs, .. }
-            | Instruction::Bgtz { rs, .. }
-            | Instruction::Bltz { rs, .. }
-            | Instruction::Bgez { rs, .. }
-            | Instruction::Bltzal { rs, .. }
-            | Instruction::Bgezal { rs, .. } => branch_decision(inst, p.reg(rs), SymVal::known(0)),
-            _ => None,
-        };
+        });
         let jr_target = match inst {
             Instruction::Jr { rs } | Instruction::Jalr { rs, .. } => Some(p.reg(rs)),
             _ => None,
@@ -1086,17 +1087,10 @@ impl<'a> Engine<'a> {
             }
             // Conditional branches.
             _ => {
-                let taken_pc = match inst {
-                    Instruction::Beq { imm, .. }
-                    | Instruction::Bne { imm, .. }
-                    | Instruction::Blez { imm, .. }
-                    | Instruction::Bgtz { imm, .. }
-                    | Instruction::Bltz { imm, .. }
-                    | Instruction::Bgez { imm, .. }
-                    | Instruction::Bltzal { imm, .. }
-                    | Instruction::Bgezal { imm, .. } => branch_target(pc, imm),
-                    _ => unreachable!("non-branch handled above"),
+                let Some((_, _, imm)) = sem::branch_operands(inst) else {
+                    unreachable!("non-branch handled above")
                 };
+                let taken_pc = branch_target(pc, imm);
                 if matches!(
                     inst,
                     Instruction::Bltzal { .. } | Instruction::Bgezal { .. }
@@ -1476,6 +1470,26 @@ impl<'a> Engine<'a> {
     /// Non-control, non-system instruction effects.
     fn exec_data(&mut self, p: &mut Path, pc: u32, inst: Instruction) {
         use Instruction::*;
+        if let Some((rd, rs, rt)) = sem::alu_operands(inst) {
+            let v = eval_alu(inst, p.reg(rs), p.reg(rt));
+            p.set_reg(rd, v);
+            return;
+        }
+        if let Some(a) = sem::mem_access(inst) {
+            let place = self.resolve(effective_addr(p, a));
+            let word = a.width == 4;
+            if a.store {
+                let v = if word { p.reg(a.rt) } else { SymVal::Top };
+                self.store(p, pc, place, v);
+            } else {
+                let v = self.load(p, pc, place, word);
+                p.set_reg(a.rt, v);
+                if let (true, Place::Comm(off)) = (word, place) {
+                    p.restored_from.insert(a.rt, (off & !3, pc));
+                }
+            }
+            return;
+        }
         match inst {
             Mfc0 { rt, rd } => {
                 let v = match Cp0Reg::from_number(rd) {
@@ -1492,78 +1506,6 @@ impl<'a> Engine<'a> {
             Tlbr | Tlbwi | Tlbwr | Tlbp | Utlbp { .. } => {}
             Mfhi { rd } | Mflo { rd } => p.set_reg(rd, SymVal::Top),
             Mthi { .. } | Mtlo { .. } | Mult { .. } | Multu { .. } | Div { .. } | Divu { .. } => {}
-            Lb { rt, base, imm }
-            | Lh { rt, base, imm }
-            | Lw { rt, base, imm }
-            | Lbu { rt, base, imm }
-            | Lhu { rt, base, imm } => {
-                let addr = eval_alu(
-                    Addiu {
-                        rt: Reg::ZERO,
-                        rs: Reg::ZERO,
-                        imm,
-                    },
-                    p.reg(base),
-                    SymVal::known(0),
-                );
-                let place = self.resolve(addr);
-                let word = matches!(inst, Lw { .. });
-                let v = self.load(p, pc, place, word);
-                p.set_reg(rt, v);
-                if word {
-                    if let Place::Comm(off) = place {
-                        p.restored_from.insert(rt, (off & !3, pc));
-                    }
-                }
-            }
-            Sb { rt, base, imm } | Sh { rt, base, imm } | Sw { rt, base, imm } => {
-                let addr = eval_alu(
-                    Addiu {
-                        rt: Reg::ZERO,
-                        rs: Reg::ZERO,
-                        imm,
-                    },
-                    p.reg(base),
-                    SymVal::known(0),
-                );
-                let place = self.resolve(addr);
-                let word = matches!(inst, Sw { .. });
-                let v = if word { p.reg(rt) } else { SymVal::Top };
-                self.store(p, pc, place, v);
-            }
-            Lui { rt, imm } => p.set_reg(rt, SymVal::known((imm as u32) << 16)),
-            // Three-operand / immediate ALU.
-            Sll { rd, rt, .. } | Srl { rd, rt, .. } | Sra { rd, rt, .. } => {
-                let v = eval_alu(inst, SymVal::known(0), p.reg(rt));
-                p.set_reg(rd, v);
-            }
-            Sllv { rd, rt, rs } | Srlv { rd, rt, rs } | Srav { rd, rt, rs } => {
-                let v = eval_alu(inst, p.reg(rs), p.reg(rt));
-                p.set_reg(rd, v);
-            }
-            Add { rd, rs, rt }
-            | Addu { rd, rs, rt }
-            | Sub { rd, rs, rt }
-            | Subu { rd, rs, rt }
-            | And { rd, rs, rt }
-            | Or { rd, rs, rt }
-            | Xor { rd, rs, rt }
-            | Nor { rd, rs, rt }
-            | Slt { rd, rs, rt }
-            | Sltu { rd, rs, rt } => {
-                let v = eval_alu(inst, p.reg(rs), p.reg(rt));
-                p.set_reg(rd, v);
-            }
-            Addi { rt, rs, .. }
-            | Addiu { rt, rs, .. }
-            | Slti { rt, rs, .. }
-            | Sltiu { rt, rs, .. }
-            | Andi { rt, rs, .. }
-            | Ori { rt, rs, .. }
-            | Xori { rt, rs, .. } => {
-                let v = eval_alu(inst, p.reg(rs), SymVal::known(0));
-                p.set_reg(rt, v);
-            }
             _ => {}
         }
     }
@@ -1755,36 +1697,16 @@ impl<'a> Engine<'a> {
                 None => true,
             },
             Syscall { .. } | Break { .. } => true,
-            _ if inst.is_memory_access() => {
-                let (base, imm) = match inst {
-                    Lb { base, imm, .. }
-                    | Lh { base, imm, .. }
-                    | Lw { base, imm, .. }
-                    | Lbu { base, imm, .. }
-                    | Lhu { base, imm, .. }
-                    | Sb { base, imm, .. }
-                    | Sh { base, imm, .. }
-                    | Sw { base, imm, .. } => (base, imm),
-                    _ => return true,
-                };
-                let addr = eval_alu(
-                    Addiu {
-                        rt: Reg::ZERO,
-                        rs: Reg::ZERO,
-                        imm,
-                    },
-                    p.reg(base),
-                    SymVal::known(0),
-                );
-                match self.resolve(addr) {
+            _ => match sem::mem_access(inst) {
+                Some(a) => match self.resolve(effective_addr(p, a)) {
                     // The comm page is pinned; the u-area and the kseg0
                     // segment are unmapped kernel space.
                     Place::Comm(_) | Place::Uarea(_) => false,
                     Place::Abs(a) => !(0x8000_0000..0xa000_0000).contains(&a),
                     Place::Rel(_, _) | Place::Unknown => true,
-                }
-            }
-            _ => false,
+                },
+                None => false,
+            },
         }
     }
 }
