@@ -19,7 +19,7 @@ gate test-workspace cargo test --workspace -q
 gate lint cargo run --release -p efex-bench --bin lint -- --baseline BENCH_baseline.json
 gate inject cargo run --release -p efex-bench --bin inject -- --all
 gate fleet-determinism cargo run --release -p efex-bench --bin fleet -- --tenants 16 --threads 4 --check-determinism
-gate fleet-health cargo run --release -p efex-bench --bin fleet -- --tenants 16 --threads 4 --health
+gate fleet-health cargo run --release -p efex-bench --bin fleet -- --tenants 16 --threads 4 --health --metrics-out target/ci-fleet-health.prom
 gate baseline cargo run --release -p efex-bench --bin report -- --check BENCH_baseline.json
 # The superblock engine is the machine default, so every gate but
 # `baseline` (report's interpreter oracle) runs it. Here it must reproduce

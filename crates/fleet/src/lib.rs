@@ -2,7 +2,7 @@
 //!
 //! Runs N independent guest instances ("tenants"), each executing one of the
 //! five application-crate workloads with a deterministic per-tenant seed,
-//! across a configurable pool of OS worker threads. Results are aggregated
+//! across a configurable number of worker shards. Results are aggregated
 //! into one fleet report: summed [`StatsSnapshot`]s, a merged per-tenant
 //! latency [`Histogram`], total simulated time, wall-clock scaling numbers,
 //! and (optionally) per-tenant Chrome-trace rows.
@@ -19,6 +19,16 @@
 //! budget from `efex-verify`) into an [`efex_health::HealthMonitor`] armed
 //! with [`fleet_invariants`]. Health data is strictly host-side: it charges
 //! no simulated cycles and stays out of [`FleetReport::fingerprint`].
+//!
+//! ## Workers
+//!
+//! Every batch — [`run_fleet`] and each pass of the drills — runs on one
+//! process-wide pool of long-lived workers, each with a 16 MB
+//! (`WORKER_STACK_BYTES`) stack. The pool grows only to the largest
+//! [`FleetConfig::threads`] ever requested, and its workers keep their
+//! stacks and allocator arenas warm between batches, so a batch costs
+//! about the sum of its tenants. A tenant that panics is caught on its
+//! worker and the panic is raised again in the caller; the pool lives on.
 //!
 //! ## Determinism
 //!
@@ -46,9 +56,13 @@ use efex_report::chrome::TID_TENANT_BASE;
 use efex_report::ChromeTrace;
 use efex_trace::{Histogram, RingSink, StatsSnapshot, TraceEvent};
 
-/// Stack reserved per worker thread: the simulator types (`System`, `Gc`,
+mod pool;
+
+/// Stack reserved per pool worker: the simulator types (`System`, `Gc`,
 /// `Pstore`, …) are large by value and unoptimized builds keep several
 /// temporaries live per construction (same sizing as the bench suite).
+/// Only the pages a tenant touches are ever faulted in, and a long-lived
+/// worker faults them in once per process rather than once per batch.
 const WORKER_STACK_BYTES: usize = 16 * 1024 * 1024;
 
 /// Which application suite a tenant runs.
@@ -143,7 +157,8 @@ pub struct TenantSpec {
 pub struct FleetConfig {
     /// Number of tenants to run.
     pub tenants: u32,
-    /// OS worker threads; `1` runs the whole fleet on one worker.
+    /// Worker shards: how many pool workers run the fleet at once; `1`
+    /// runs the whole fleet on one worker.
     pub threads: usize,
     /// Base seed every per-tenant seed derives from.
     pub base_seed: u64,
@@ -369,10 +384,8 @@ impl FleetReport {
             mon.observe(cycles);
         }
         mon.registry().record_snapshot(None, &self.aggregate);
-        let rollup = StatsSnapshot::aggregate(
-            "tenant-health",
-            self.tenants.iter().map(|t| t.health.clone()),
-        );
+        let rollup =
+            StatsSnapshot::aggregate("tenant-health", self.tenants.iter().map(|t| &t.health));
         mon.registry().record_snapshot(None, &rollup);
         mon.registry()
             .record_histogram("fleet_latency_ns", &self.latency);
@@ -842,44 +855,39 @@ pub fn run_tenant_legged(
     resume_tenant(&TenantCheckpoint::initial(spec, legs), trace, health)
 }
 
-/// Runs `f(shard, item)` for each item on a scoped worker pool with a
-/// *static* assignment `shard = shard_of(index)` — the drills need to
-/// prove which worker ran what, so no work stealing here. Results come
-/// back in item order.
-fn scatter<T: Send, R: Send>(
+/// Runs `f(shard, item)` for each item on the worker pool with a *static*
+/// assignment `shard = shard_of(index) % threads` — the drills need to
+/// prove which shard ran what, so no work stealing here. Results come back
+/// in item order.
+fn scatter<T: Send + 'static, R: Send + 'static>(
     items: Vec<T>,
     threads: usize,
-    shard_of: impl Fn(usize) -> usize + Sync,
-    f: impl Fn(usize, T) -> R + Sync,
+    shard_of: impl Fn(usize) -> usize,
+    f: impl Fn(usize, T) -> R + Send + Sync + 'static,
 ) -> Vec<R> {
     let threads = threads.max(1);
-    let slots: Mutex<Vec<Option<R>>> = Mutex::new((0..items.len()).map(|_| None).collect());
-    let items: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
-    std::thread::scope(|scope| {
-        for w in 0..threads {
-            let slots = &slots;
-            let items = &items;
-            let shard_of = &shard_of;
-            let f = &f;
-            std::thread::Builder::new()
-                .name(format!("efex-fleet-{w}"))
-                .stack_size(WORKER_STACK_BYTES)
-                .spawn_scoped(scope, move || {
-                    for (i, cell) in items.iter().enumerate() {
-                        if shard_of(i) % threads != w {
-                            continue;
-                        }
-                        let item = cell.lock().unwrap().take().expect("item claimed once");
-                        let r = f(w, item);
-                        slots.lock().unwrap()[i] = Some(r);
-                    }
-                })
-                .expect("spawn fleet worker");
-        }
+    let n = items.len();
+    let mut shards: Vec<Vec<(usize, T)>> = (0..threads).map(|_| Vec::new()).collect();
+    for (i, item) in items.into_iter().enumerate() {
+        shards[shard_of(i) % threads].push((i, item));
+    }
+    let shards: Vec<Mutex<Vec<(usize, T)>>> = shards.into_iter().map(Mutex::new).collect();
+    let done = pool::run(threads, move |w| {
+        let mine = std::mem::take(&mut *shards[w].lock().expect("one taker per shard"));
+        mine.into_iter()
+            .map(|(i, item)| (i, f(w, item)))
+            .collect::<Vec<_>>()
     });
+    in_item_order(n, done.into_iter().flatten())
+}
+
+/// Puts the `(index, result)` pairs of items `0..n` back in item order.
+fn in_item_order<R>(n: usize, pairs: impl IntoIterator<Item = (usize, R)>) -> Vec<R> {
+    let mut slots: Vec<Option<R>> = (0..n).map(|_| None).collect();
+    for (i, r) in pairs {
+        slots[i] = Some(r);
+    }
     slots
-        .into_inner()
-        .unwrap()
         .into_iter()
         .map(|slot| slot.expect("every item ran"))
         .collect()
@@ -909,7 +917,7 @@ fn aggregate_reports(
     for t in &tenants {
         latency.record((t.micros * 1000.0) as u64); // µs → ns
     }
-    let aggregate = StatsSnapshot::aggregate("fleet", tenants.iter().map(|t| t.stats.clone()));
+    let aggregate = StatsSnapshot::aggregate("fleet", tenants.iter().map(|t| &t.stats));
     let total_micros = tenants.iter().map(|t| t.micros).sum();
     FleetReport {
         tenants,
@@ -956,28 +964,29 @@ fn first_error<R>(results: Vec<Result<R, FleetError>>) -> Result<Vec<R>, FleetEr
 /// Returns [`FleetError`] if any tenant's workload fails or a checkpoint
 /// fails to round-trip.
 pub fn run_fleet_migrate(cfg: &FleetConfig) -> Result<FleetReport, FleetError> {
+    let cfg = *cfg;
     let threads = cfg.threads.max(1);
-    let (legs, split) = drill_legs(cfg);
-    let fast_path = drill_fast_path(cfg)?;
+    let (legs, split) = drill_legs(&cfg);
+    let fast_path = drill_fast_path(&cfg)?;
     let start = Instant::now();
-    let specs = plan(cfg);
+    let specs = plan(&cfg);
     // Phase A: home shard = id % threads, run to the checkpoint, serialize.
     let blobs = first_error(scatter(
         specs,
         threads,
         |i| i,
-        |_, spec| {
+        move |_, spec| {
             let mut ckpt = TenantCheckpoint::initial(spec, legs);
             advance_tenant(&mut ckpt, split)?;
             Ok::<Vec<u8>, FleetError>(ckpt.to_bytes())
         },
     ))?;
-    // Phase B: fresh worker pool, every tenant one shard over from home.
+    // Phase B: every tenant one shard over from home.
     let reports = first_error(scatter(
         blobs,
         threads,
         |i| i + 1,
-        |_, bytes: Vec<u8>| {
+        move |_, bytes: Vec<u8>| {
             let ckpt = TenantCheckpoint::from_bytes(&bytes).map_err(|e| FleetError {
                 tenant: u32::MAX,
                 suite: "migrate",
@@ -1012,6 +1021,7 @@ pub fn run_fleet_migrate(cfg: &FleetConfig) -> Result<FleetReport, FleetError> {
 /// shards (nowhere to recover to), any workload fails, or a checkpoint
 /// fails to round-trip.
 pub fn run_fleet_kill_shard(cfg: &FleetConfig, dead: usize) -> Result<FleetReport, FleetError> {
+    let cfg = *cfg;
     let threads = cfg.threads.max(1);
     if threads < 2 || dead >= threads {
         return Err(FleetError {
@@ -1022,17 +1032,17 @@ pub fn run_fleet_kill_shard(cfg: &FleetConfig, dead: usize) -> Result<FleetRepor
             ),
         });
     }
-    let (legs, split) = drill_legs(cfg);
-    let fast_path = drill_fast_path(cfg)?;
+    let (legs, split) = drill_legs(&cfg);
+    let fast_path = drill_fast_path(&cfg)?;
     let start = Instant::now();
-    let specs = plan(cfg);
+    let specs = plan(&cfg);
     // Phase A: everyone runs to the checkpoint on their home shard and
     // serializes it — the always-on checkpointing the drill relies on.
     let blobs = first_error(scatter(
         specs,
         threads,
         |i| i,
-        |_, spec| {
+        move |_, spec| {
             let mut ckpt = TenantCheckpoint::initial(spec, legs);
             advance_tenant(&mut ckpt, split)?;
             Ok::<Vec<u8>, FleetError>(ckpt.to_bytes())
@@ -1046,7 +1056,7 @@ pub fn run_fleet_kill_shard(cfg: &FleetConfig, dead: usize) -> Result<FleetRepor
         .enumerate()
         .map(|(i, b)| (b, i % threads == dead))
         .collect();
-    let reroute = move |i: usize| {
+    let reroute = |i: usize| {
         if i % threads == dead {
             i + 1
         } else {
@@ -1057,7 +1067,7 @@ pub fn run_fleet_kill_shard(cfg: &FleetConfig, dead: usize) -> Result<FleetRepor
         items,
         threads,
         reroute,
-        |_, (bytes, recovered): (Vec<u8>, bool)| {
+        move |_, (bytes, recovered): (Vec<u8>, bool)| {
             let ckpt = TenantCheckpoint::from_bytes(&bytes).map_err(|e| FleetError {
                 tenant: u32::MAX,
                 suite: "kill-shard",
@@ -1192,57 +1202,43 @@ pub fn run_fleet(cfg: &FleetConfig) -> Result<FleetReport, FleetError> {
     } else {
         None
     };
+    let n = specs.len();
+    let cfg = *cfg;
     let next = AtomicUsize::new(0);
-    let slots: Mutex<Vec<Option<Result<TenantReport, FleetError>>>> =
-        Mutex::new((0..specs.len()).map(|_| None).collect());
-    // One latency shard per worker; merged after join. Bucket counts sum,
-    // so the merged histogram is invariant to how tenants were partitioned.
-    let shards: Mutex<Vec<Histogram>> = Mutex::new(Vec::new());
-
     let start = Instant::now();
-    std::thread::scope(|scope| {
-        let worker = || {
-            let mut shard = Histogram::new();
-            loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(spec) = specs.get(i).copied() else {
-                    break;
-                };
-                let result = run_tenant_legged(spec, cfg.legs, cfg.trace, cfg.health);
-                if let Ok(r) = &result {
-                    shard.record((r.micros * 1000.0) as u64); // µs → ns
-                }
-                slots.lock().unwrap()[i] = Some(result);
+    // Each shard claims tenants until none are left, recording their
+    // latencies in its own histogram; bucket counts sum, so the merged
+    // histogram is invariant to how tenants were partitioned.
+    let shards = pool::run(threads, move |_| {
+        let mut latency = Histogram::new();
+        let mut done = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            let Some(&spec) = specs.get(i) else {
+                break;
+            };
+            let result = run_tenant_legged(spec, cfg.legs, cfg.trace, cfg.health);
+            if let Ok(r) = &result {
+                latency.record((r.micros * 1000.0) as u64); // µs → ns
             }
-            shards.lock().unwrap().push(shard);
-        };
-        let mut handles = Vec::with_capacity(threads);
-        for w in 0..threads {
-            handles.push(
-                std::thread::Builder::new()
-                    .name(format!("efex-fleet-{w}"))
-                    .stack_size(WORKER_STACK_BYTES)
-                    .spawn_scoped(scope, worker)
-                    .expect("spawn fleet worker"),
-            );
+            done.push((i, result));
         }
-        for h in handles {
-            h.join().expect("fleet worker panicked");
-        }
+        (latency, done)
     });
     let wall_seconds = start.elapsed().as_secs_f64();
 
-    let mut tenants = Vec::with_capacity(specs.len());
-    for slot in slots.into_inner().unwrap() {
-        tenants.push(slot.expect("every tenant claimed")?);
-    }
-    tenants.sort_by_key(|t| t.id);
     let mut latency = Histogram::new();
-    for shard in shards.into_inner().unwrap().iter() {
-        latency.merge(shard);
+    let mut ran = Vec::with_capacity(n);
+    for (shard, done) in shards {
+        latency.merge(&shard);
+        ran.extend(done);
     }
+    // Collecting in id order returns the lowest-id error.
+    let tenants = in_item_order(n, ran)
+        .into_iter()
+        .collect::<Result<Vec<_>, _>>()?;
 
-    let aggregate = StatsSnapshot::aggregate("fleet", tenants.iter().map(|t| t.stats.clone()));
+    let aggregate = StatsSnapshot::aggregate("fleet", tenants.iter().map(|t| &t.stats));
     let total_micros = tenants.iter().map(|t| t.micros).sum();
     Ok(FleetReport {
         tenants,
@@ -1409,7 +1405,7 @@ mod tests {
         assert!(r.deliveries() > 0);
         assert!(r.total_micros > 0.0);
         // The aggregate really is the per-tenant sum.
-        let by_hand = StatsSnapshot::aggregate("fleet", r.tenants.iter().map(|t| t.stats.clone()));
+        let by_hand = StatsSnapshot::aggregate("fleet", r.tenants.iter().map(|t| &t.stats));
         assert_eq!(r.aggregate, by_hand);
     }
 
@@ -1429,6 +1425,48 @@ mod tests {
                 "threads=1 vs threads={threads}"
             );
         }
+    }
+
+    #[test]
+    fn scatter_hands_each_item_to_its_static_shard() {
+        let shard_of = |i: usize| i * 7 + 1;
+        for threads in [1, 3, 4] {
+            let ran = scatter((0..13).collect(), threads, shard_of, |w, item: usize| {
+                (w, item)
+            });
+            let want: Vec<(usize, usize)> = (0..13).map(|i| (shard_of(i) % threads, i)).collect();
+            assert_eq!(ran, want, "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn a_panicking_pool_job_reaches_the_caller_and_the_next_batch_runs() {
+        let caught = std::panic::catch_unwind(|| {
+            scatter(
+                vec![0u32, 1, 2],
+                2,
+                |i| i,
+                |_, item| {
+                    assert_ne!(item, 1, "tenant job failed");
+                    item
+                },
+            )
+        });
+        let payload = caught.expect_err("the job's panic must reach the caller");
+        let message = payload
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .unwrap_or_default();
+        assert!(message.contains("tenant job failed"), "{message}");
+        let cfg = FleetConfig {
+            tenants: 4,
+            threads: 2,
+            ..FleetConfig::default()
+        };
+        let next = run_fleet(&cfg).expect("the pool survives a panicking job");
+        assert_eq!(next.tenants.len(), 4);
+        let serial = run_fleet(&FleetConfig { threads: 1, ..cfg }).unwrap();
+        assert_eq!(next.fingerprint(), serial.fingerprint());
     }
 
     #[test]

@@ -25,11 +25,11 @@ fn finding_line(f: &HealthFinding) -> Value {
 /// Renders the whole monitor — samples, histograms, findings — as JSONL.
 pub fn to_jsonl(mon: &HealthMonitor) -> String {
     let reg = mon.registry_ref();
-    let samples = reg.samples().iter().map(|s| {
+    let samples = reg.samples().map(|s| {
         let mut line = Value::object()
             .with("type", "sample")
-            .with("component", s.component.as_str())
-            .with("name", s.name.as_str());
+            .with("component", s.component)
+            .with("name", s.name);
         if let Some(t) = s.tenant {
             line = line.with("tenant", t);
         }

@@ -7,6 +7,13 @@
 //! more in [`HealthMonitor::finish`]. Evaluation is a pure read of recorded
 //! values — the monitor never charges simulated cycles, so a monitored run
 //! stays bit-identical to an unmonitored one.
+//!
+//! An evaluation re-checks only the scopes recorded into since the previous
+//! one (every scope, for an invariant added since). That is exact: a check
+//! and its warmup gate read only their own scope's samples, so an untouched
+//! scope gives the answer it gave last time, and findings are kept once per
+//! (invariant, scope). A fleet replayed tenant by tenant therefore checks
+//! each tenant once per interval it lands in, not once per interval after.
 
 use std::fmt;
 
@@ -64,6 +71,9 @@ pub struct HealthMonitor {
     last_eval: u64,
     evaluations: u64,
     findings: Vec<HealthFinding>,
+    /// Invariants before this index have been checked against every scope
+    /// recorded before the last evaluation.
+    checked: usize,
 }
 
 impl HealthMonitor {
@@ -146,12 +156,19 @@ impl HealthMonitor {
     fn evaluate_at(&mut self, cycles: Option<u64>) -> usize {
         self.evaluations += 1;
         let before = self.findings.len();
-        for inv in &self.invariants {
-            let scopes: Vec<Option<u32>> = match inv.scope {
-                Scope::Aggregate => vec![None],
-                Scope::PerTenant => self.registry.tenants().into_iter().map(Some).collect(),
+        let recorded = self.registry.take_recorded_scopes();
+        let every = if self.checked < self.invariants.len() {
+            self.registry.scopes()
+        } else {
+            Vec::new()
+        };
+        for (k, inv) in self.invariants.iter().enumerate() {
+            let scopes = if k < self.checked { &recorded } else { &every };
+            let in_scope = |t: &Option<u32>| match inv.scope {
+                Scope::Aggregate => t.is_none(),
+                Scope::PerTenant => t.is_some(),
             };
-            for tenant in scopes {
+            for &tenant in scopes.iter().filter(|t| in_scope(t)) {
                 if !inv.warmed_up(&self.registry, tenant) {
                     continue;
                 }
@@ -177,6 +194,7 @@ impl HealthMonitor {
                 });
             }
         }
+        self.checked = self.invariants.len();
         self.findings.len() - before
     }
 }
@@ -185,6 +203,7 @@ impl HealthMonitor {
 mod tests {
     use super::*;
     use crate::invariant::MetricRef;
+    use proptest::prelude::*;
 
     fn m(name: &str) -> MetricRef {
         MetricRef::new("k", name)
@@ -232,6 +251,28 @@ mod tests {
     }
 
     #[test]
+    fn untouched_scopes_keep_their_findings_and_new_invariants_see_all() {
+        let mut mon = HealthMonitor::new()
+            .with_interval(10)
+            .invariant(Invariant::max("cap", m("events"), 5).per_tenant());
+        mon.registry().record_counter("k", Some(1), "events", 9);
+        assert_eq!(mon.observe(10), 1);
+        mon.registry().record_counter("k", Some(2), "events", 1);
+        assert_eq!(mon.observe(20), 0, "tenant 1 is not re-reported");
+        mon.add_invariant(Invariant::min("floor", m("events"), 3).per_tenant());
+        assert_eq!(mon.observe(30), 1, "the new invariant checks tenant 2");
+        let found: Vec<_> = mon
+            .finish()
+            .iter()
+            .map(|f| (f.invariant.as_str(), f.tenant, f.cycles))
+            .collect();
+        assert_eq!(
+            found,
+            vec![("cap", Some(1), Some(10)), ("floor", Some(2), Some(30))]
+        );
+    }
+
+    #[test]
     fn finding_renders_scope_observation_bound_and_hint() {
         let mut mon = HealthMonitor::new().invariant(
             Invariant::max("churn", m("evictions"), 10)
@@ -247,5 +288,125 @@ mod tests {
         assert!(text.contains("k/evictions = 999"), "{text}");
         assert!(text.contains("<= 10"), "{text}");
         assert!(text.contains("> check the slot hash"), "{text}");
+    }
+
+    /// The monitor as it was before scopes were tracked: every evaluation
+    /// re-checks every invariant against every scope.
+    struct Naive {
+        registry: Registry,
+        invariants: Vec<Invariant>,
+        interval: u64,
+        last_eval: u64,
+        findings: Vec<HealthFinding>,
+    }
+
+    impl Naive {
+        fn observe(&mut self, cycles: u64) -> usize {
+            if cycles.saturating_sub(self.last_eval) < self.interval {
+                return 0;
+            }
+            self.last_eval = cycles;
+            self.evaluate(Some(cycles))
+        }
+
+        fn evaluate(&mut self, cycles: Option<u64>) -> usize {
+            let before = self.findings.len();
+            for inv in &self.invariants {
+                let scopes: Vec<Option<u32>> = match inv.scope {
+                    Scope::Aggregate => vec![None],
+                    Scope::PerTenant => self.registry.tenants().into_iter().map(Some).collect(),
+                };
+                for tenant in scopes {
+                    if !inv.warmed_up(&self.registry, tenant) {
+                        continue;
+                    }
+                    let Some(v) = inv.check.evaluate(&self.registry, tenant) else {
+                        continue;
+                    };
+                    if self
+                        .findings
+                        .iter()
+                        .any(|f| f.invariant == inv.name && f.tenant == tenant)
+                    {
+                        continue;
+                    }
+                    self.findings.push(HealthFinding {
+                        invariant: inv.name.clone(),
+                        tenant,
+                        cycles,
+                        observed: v.observed,
+                        bound: v.bound,
+                        hint: inv.hint.clone(),
+                    });
+                }
+            }
+            self.findings.len() - before
+        }
+    }
+
+    /// Invariants over three metrics, both scopes, with warm-ups and one
+    /// name shared by an aggregate and a per-tenant invariant.
+    fn pool() -> Vec<Invariant> {
+        vec![
+            Invariant::ratio_min("rate", m("a"), m("b"), 0.5)
+                .per_tenant()
+                .warmup(m("b"), 30),
+            Invariant::max("cap", m("c"), 50).per_tenant(),
+            Invariant::min("floor", m("a"), 10),
+            Invariant::ratio_max("ratio", m("c"), m("a"), 2.0).warmup(m("c"), 20),
+            Invariant::max("cap", m("a"), 80),
+            Invariant::min("other", MetricRef::new("j", "a"), 40).per_tenant(),
+        ]
+    }
+
+    proptest! {
+        #[test]
+        fn findings_equal_a_re_evaluate_everything_model(
+            ops in prop::collection::vec((0u8..10, 0u32..6, 0u8..4, 0u64..100), 0..40),
+            interval in 1u64..200,
+        ) {
+            let pool = pool();
+            let mut mon = HealthMonitor::new().with_interval(interval);
+            let mut naive = Naive {
+                registry: Registry::new(),
+                invariants: Vec::new(),
+                interval,
+                last_eval: 0,
+                findings: Vec::new(),
+            };
+            for inv in &pool[..2] {
+                mon.add_invariant(inv.clone());
+                naive.invariants.push(inv.clone());
+            }
+            let mut cycles = 0;
+            for (op, scope, metric, value) in ops {
+                match op {
+                    0..=5 => {
+                        let tenant = (scope < 5).then_some(scope);
+                        let (component, name) = [("k", "a"), ("k", "b"), ("k", "c"), ("j", "a")]
+                            [metric as usize];
+                        mon.registry().record_counter(component, tenant, name, value);
+                        naive.registry.record_counter(component, tenant, name, value);
+                    }
+                    6 | 7 => {
+                        cycles += value * 3;
+                        prop_assert_eq!(mon.observe(cycles), naive.observe(cycles));
+                    }
+                    8 => {
+                        let inv = pool[(value as usize) % pool.len()].clone();
+                        mon.add_invariant(inv.clone());
+                        naive.invariants.push(inv);
+                    }
+                    _ => {
+                        mon.finish();
+                        naive.evaluate(None);
+                    }
+                }
+                prop_assert_eq!(mon.findings(), &naive.findings[..]);
+            }
+            mon.finish();
+            naive.evaluate(None);
+            prop_assert_eq!(mon.findings(), &naive.findings[..]);
+        }
     }
 }

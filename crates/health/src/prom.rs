@@ -32,11 +32,11 @@ fn escape_label(s: &str) -> String {
     out
 }
 
-fn sample_labels(s: &Sample) -> String {
+fn sample_labels(s: &Sample<'_>) -> String {
     let mut labels = format!(
         "component=\"{}\",name=\"{}\"",
-        escape_label(&s.component),
-        escape_label(&s.name)
+        escape_label(s.component),
+        escape_label(s.name)
     );
     if let Some(t) = s.tenant {
         labels.push_str(&format!(",tenant=\"{t}\""));
@@ -49,13 +49,13 @@ fn render_kind(out: &mut String, reg: &Registry, kind: MetricKind) {
         MetricKind::Counter => "efex_counter",
         MetricKind::Gauge => "efex_gauge",
     };
-    let samples: Vec<&Sample> = reg.samples().iter().filter(|s| s.kind == kind).collect();
+    let samples: Vec<Sample> = reg.samples().filter(|s| s.kind == kind).collect();
     if samples.is_empty() {
         return;
     }
     out.push_str(&format!("# TYPE {family} {}\n", kind.as_str()));
     for s in samples {
-        out.push_str(&format!("{family}{{{}}} {}\n", sample_labels(s), s.value));
+        out.push_str(&format!("{family}{{{}}} {}\n", sample_labels(&s), s.value));
     }
 }
 

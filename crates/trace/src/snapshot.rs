@@ -6,6 +6,9 @@
 //! single shape ([`StatsSnapshot`]) to consume, instead of matching on each
 //! struct's fields.
 
+use std::borrow::Borrow;
+use std::collections::HashSet;
+
 use crate::jsonval::Value;
 
 /// A flat, ordered set of named counters from one component.
@@ -46,23 +49,46 @@ impl StatsSnapshot {
     /// order. Fleet aggregation sums per-tenant snapshots this way, so the
     /// result is independent of how tenants were scheduled across threads
     /// (addition is commutative; ordering is fixed by the first snapshot).
+    ///
+    /// Snapshots of one component usually list the same names in the same
+    /// order, so each name is first looked for at its own position, and
+    /// merging such snapshots is linear. A hit there is the name's first
+    /// occurrence only when no name repeats in this snapshot, which is
+    /// checked once, on the first such hit; otherwise (and on a miss) a scan
+    /// finds the first occurrence. A push follows a scan that missed, so a
+    /// merge never makes a snapshot with distinct names repeat one.
     pub fn merge(&mut self, other: &StatsSnapshot) {
-        for (name, value) in &other.counters {
-            match self.counters.iter_mut().find(|(n, _)| n == name) {
-                Some((_, v)) => *v = v.saturating_add(*value),
+        self.merge_checked(other, None);
+    }
+
+    /// [`StatsSnapshot::merge`], given whether this snapshot's names are
+    /// already known to be distinct (`None`: check on demand).
+    fn merge_checked(&mut self, other: &StatsSnapshot, mut distinct: Option<bool>) {
+        for (j, (name, value)) in other.counters.iter().enumerate() {
+            let lined_up = self.counters.get(j).is_some_and(|(n, _)| n == name)
+                && *distinct.get_or_insert_with(|| names_distinct(&self.counters));
+            let at = if lined_up {
+                Some(j)
+            } else {
+                self.counters.iter().position(|(n, _)| n == name)
+            };
+            match at {
+                Some(i) => self.counters[i].1 = self.counters[i].1.saturating_add(*value),
                 None => self.counters.push((name.clone(), *value)),
             }
         }
     }
 
-    /// Sums an iterator of snapshots into one under `component`.
+    /// Sums an iterator of snapshots (owned or borrowed) into one under
+    /// `component`.
     pub fn aggregate(
         component: &'static str,
-        snaps: impl IntoIterator<Item = StatsSnapshot>,
+        snaps: impl IntoIterator<Item = impl Borrow<StatsSnapshot>>,
     ) -> StatsSnapshot {
+        // `out` grows only by merges from empty, so no name ever repeats.
         let mut out = StatsSnapshot::new(component);
         for s in snaps {
-            out.merge(&s);
+            out.merge_checked(s.borrow(), Some(true));
         }
         out
     }
@@ -80,6 +106,12 @@ impl StatsSnapshot {
     }
 }
 
+/// True when no counter name appears twice.
+fn names_distinct(counters: &[(String, u64)]) -> bool {
+    let mut seen = HashSet::with_capacity(counters.len());
+    counters.iter().all(|(n, _)| seen.insert(n.as_str()))
+}
+
 /// Implemented by every stats struct in the workspace.
 pub trait Snapshot {
     /// Captures the current counter values as a plain serializable struct.
@@ -89,6 +121,7 @@ pub trait Snapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     struct Demo {
         faults: u64,
@@ -146,6 +179,67 @@ mod tests {
         assert_eq!(forward.get("retries"), Some(70));
         assert_eq!(forward.counters, reverse.counters);
         assert_eq!(forward.component, "fleet");
+    }
+
+    /// The merge as it was before the positional lookup: a scan per name.
+    fn scan_merge(into: &mut StatsSnapshot, other: &StatsSnapshot) {
+        for (name, value) in &other.counters {
+            match into.counters.iter_mut().find(|(n, _)| n == name) {
+                Some((_, v)) => *v = v.saturating_add(*value),
+                None => into.counters.push((name.clone(), *value)),
+            }
+        }
+    }
+
+    /// Counters over a four-name alphabet, so names repeat within a
+    /// snapshot and often sit at the same position in two snapshots.
+    fn counters() -> impl Strategy<Value = Vec<(String, u64)>> {
+        prop::collection::vec(
+            (0u8..4, 0u64..1000).prop_map(|(n, v)| (((b'a' + n) as char).to_string(), v)),
+            0..9,
+        )
+    }
+
+    proptest! {
+        #[test]
+        fn merge_equals_the_scanning_merge(
+            base in counters(),
+            others in prop::collection::vec(counters(), 1..4),
+            lined_up: bool,
+        ) {
+            let mut fast = StatsSnapshot { component: "p", counters: base.clone() };
+            let mut slow = fast.clone();
+            let mut all = vec![fast.clone()];
+            for counters in others {
+                // Half the cases merge the base's own names, in its order.
+                let counters = if lined_up {
+                    base.iter().zip(counters.iter().cycle()).map(|((n, _), (_, v))| (n.clone(), *v)).collect()
+                } else {
+                    counters
+                };
+                let other = StatsSnapshot { component: "p", counters };
+                fast.merge(&other);
+                scan_merge(&mut slow, &other);
+                prop_assert_eq!(&fast, &slow);
+                all.push(other);
+            }
+            // `aggregate` skips the distinct-names check on its own output.
+            let mut from_empty = StatsSnapshot::new("q");
+            for snap in &all {
+                scan_merge(&mut from_empty, snap);
+            }
+            prop_assert_eq!(StatsSnapshot::aggregate("q", &all), from_empty);
+        }
+    }
+
+    #[test]
+    fn merge_sums_a_repeated_name_into_its_first_occurrence() {
+        let mut a = StatsSnapshot::new("demo").counter("x", 1).counter("x", 2);
+        a.merge(&StatsSnapshot::new("demo").counter("y", 5).counter("x", 10));
+        assert_eq!(
+            a.counters,
+            vec![("x".into(), 11), ("x".into(), 2), ("y".into(), 5)]
+        );
     }
 
     #[test]
