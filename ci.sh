@@ -16,6 +16,9 @@ gate() {
 gate build cargo build --release
 gate test cargo test -q
 gate test-workspace cargo test --workspace -q
+# The machine's reference models at depth: the TLB slot index against a
+# linear scan, and both engines against the instruction semantics.
+gate mips-models env PROPTEST_CASES=4096 cargo test --release -q -p efex-mips --test tlb_lookup --test conformance
 gate lint cargo run --release -p efex-bench --bin lint -- --baseline BENCH_baseline.json
 gate inject cargo run --release -p efex-bench --bin inject -- --all
 gate fleet-determinism cargo run --release -p efex-bench --bin fleet -- --tenants 16 --threads 4 --check-determinism

@@ -384,8 +384,13 @@ pub fn with_machine_config<R>(cfg: MachineConfig, f: impl FnOnce() -> R) -> R {
 /// control transfer anyway, so 64 comfortably covers real basic blocks; the
 /// cap only bounds pathological branch-free pages.
 const SBLOCK_MAX_OPS: usize = 64;
-/// Superblock cache slots (direct-mapped by block start address).
-const SBLOCK_SLOTS: usize = 256;
+/// Superblock cache sets (indexed by block start address).
+const SBLOCK_SETS: usize = 256;
+/// Blocks per superblock set. Way 0 holds the set's most recently entered
+/// block, so a conflict-free run hits on its first probe; a second block
+/// whose start address shares the set lives in way 1 instead of evicting
+/// it (the kernel's return path and the user code it resumes, for one).
+const SBLOCK_WAYS: usize = 2;
 
 /// One pre-decoded instruction inside a superblock.
 #[derive(Clone, Copy)]
@@ -443,12 +448,13 @@ impl fmt::Debug for SuperBlock {
     }
 }
 
-/// Superblock-cache slot for a block start address. Folds high bits in for
-/// the same reason as the decode cache's slot hash: user text and its KSEG0
-/// kernel counterpart must not systematically alias.
-fn sblock_slot(pc: u32) -> usize {
+/// Superblock-cache slot of way 0 of the set for a block start address
+/// (way 1 is the next slot). Folds high bits in for the same reason as the
+/// decode cache's slot hash: user text and its KSEG0 kernel counterpart
+/// must not systematically alias.
+fn sblock_set(pc: u32) -> usize {
     let x = pc >> 2;
-    ((x ^ (x >> 8) ^ (x >> 17)) as usize) & (SBLOCK_SLOTS - 1)
+    (((x ^ (x >> 8) ^ (x >> 17)) as usize) & (SBLOCK_SETS - 1)) * SBLOCK_WAYS
 }
 
 /// Whether an instruction must run through the generic [`Machine::step`]
@@ -491,7 +497,8 @@ pub struct Machine {
     dcache_misses: u64,
     dcache_evictions: u64,
     engine: ExecEngine,
-    /// Superblock cache (no slots until the superblock engine is selected).
+    /// Superblock cache, [`SBLOCK_WAYS`] consecutive slots per set (no
+    /// slots until the superblock engine is selected).
     sbcache: Vec<Option<Box<SuperBlock>>>,
     sb_hits: u64,
     sb_misses: u64,
@@ -537,7 +544,7 @@ impl Machine {
             dcache_evictions: 0,
             engine: cfg.engine,
             sbcache: match cfg.engine {
-                ExecEngine::Superblock => (0..SBLOCK_SLOTS).map(|_| None).collect(),
+                ExecEngine::Superblock => (0..SBLOCK_SETS * SBLOCK_WAYS).map(|_| None).collect(),
                 ExecEngine::Interpreter => Vec::new(),
             },
             sb_hits: 0,
@@ -675,7 +682,7 @@ impl Machine {
     pub fn set_engine(&mut self, engine: ExecEngine) {
         if engine != self.engine {
             if engine == ExecEngine::Superblock && self.sbcache.is_empty() {
-                self.sbcache.resize_with(SBLOCK_SLOTS, || None);
+                self.sbcache.resize_with(SBLOCK_SETS * SBLOCK_WAYS, || None);
             }
             self.vacate_superblocks();
             self.engine = engine;
@@ -993,13 +1000,13 @@ impl Machine {
     fn exec_block(&mut self, remaining: &mut u64) -> Result<Option<StopReason>, MachineError> {
         let pc = self.cpu.pc;
         let user = self.cp0.user_mode();
-        let slot = sblock_slot(pc);
-        let valid = self.sbcache[slot].as_deref().is_some_and(|b| {
-            b.start_pc == pc
-                && !b.ops.is_empty()
-                && b.user == user
-                && b.mem_version == self.mem.page_version(b.page_paddr)
-        }) && self.block_translation_current(slot, pc, user);
+        let slot = sblock_set(pc);
+        let valid = self.block_valid(slot, pc, user)
+            || (self.block_valid(slot + 1, pc, user) && {
+                // Way 1 hit: it becomes the set's most recent block.
+                self.sbcache.swap(slot, slot + 1);
+                true
+            });
         if valid {
             self.sb_hits += 1;
         } else {
@@ -1026,6 +1033,18 @@ impl Machine {
         }
         self.sbcache[slot] = Some(block);
         result
+    }
+
+    /// Whether the block in `slot` starts at `pc` in the current mode and is
+    /// exact: its text is unwritten since the build and it still translates
+    /// as it did (see [`Machine::block_translation_current`]).
+    fn block_valid(&mut self, slot: usize, pc: u32, user: bool) -> bool {
+        self.sbcache[slot].as_deref().is_some_and(|b| {
+            b.start_pc == pc
+                && !b.ops.is_empty()
+                && b.user == user
+                && b.mem_version == self.mem.page_version(b.page_paddr)
+        }) && self.block_translation_current(slot, pc, user)
     }
 
     /// Whether the block in `slot` (which starts at `pc`) still translates
@@ -1060,8 +1079,11 @@ impl Machine {
     /// and installs it. The run ends at the first control transfer (its
     /// delay slot rides along when it is a plain same-page op), before any
     /// block-ending sensitive op (see [`ends_block`]), at the page
-    /// boundary, or at [`SBLOCK_MAX_OPS`]. Returns `false` when no block
-    /// can start at `pc`.
+    /// boundary, or at [`SBLOCK_MAX_OPS`]. The new block goes to way 0 of
+    /// its set, rebuilt in place when way 0 holds a vacancy or a stale
+    /// block at `pc`; otherwise way 0's block moves to way 1 and the block
+    /// way 1 held is evicted. Returns `false` when no block can start at
+    /// `pc`.
     fn build_block(&mut self, pc: u32, user: bool) -> bool {
         let Ok(paddr) = self.translate(pc, Access::Fetch, user) else {
             return false;
@@ -1074,9 +1096,15 @@ impl Machine {
         }
         let page_paddr = paddr & !0xfff;
         let mem_version = self.mem.page_version(page_paddr);
-        let slot = sblock_slot(pc);
-        // Rebuild in the slot's existing block, keeping its allocation and
-        // its op buffer's capacity.
+        let slot = sblock_set(pc);
+        if self.sbcache[slot]
+            .as_deref()
+            .is_some_and(|b| b.start_pc != pc && !b.ops.is_empty())
+        {
+            self.sbcache.swap(slot, slot + 1);
+        }
+        // Rebuild in the victim's block, keeping its allocation and its op
+        // buffer's capacity.
         let mut block = self.sbcache[slot].take().unwrap_or_default();
         let mut ops = std::mem::take(&mut block.ops);
         ops.clear();
@@ -1582,18 +1610,18 @@ impl Machine {
             return Exec::Fault(ExcCode::AddrErrLoad, Some(vaddr));
         }
         let asid = self.asid();
-        let Some(entry) = self.tlb.entry_matching_mut(vaddr, asid) else {
+        let Some(mut prot) = self.tlb.protection_mut(vaddr, asid) else {
             // No resident entry: fault so the kernel can refill and retry.
             return Exec::Fault(ExcCode::TlbLoad, Some(vaddr));
         };
-        if user && !entry.user_modifiable {
+        if user && !prot.entry().user_modifiable {
             return Exec::Fault(ExcCode::CopUnusable, None);
         }
         match op {
-            TlbProtOp::WriteProtect => entry.dirty = false,
-            TlbProtOp::WriteEnable => entry.dirty = true,
-            TlbProtOp::ProtectAll => entry.valid = false,
-            TlbProtOp::ReadEnable => entry.valid = true,
+            TlbProtOp::WriteProtect => prot.set_dirty(false),
+            TlbProtOp::WriteEnable => prot.set_dirty(true),
+            TlbProtOp::ProtectAll => prot.set_valid(false),
+            TlbProtOp::ReadEnable => prot.set_valid(true),
         }
         Exec::Ok
     }

@@ -6,8 +6,12 @@
 //! code may amplify or restrict the read/write protection of the entry —
 //! but never the translation itself — via the `utlbp` instruction. The tag
 //! (ASID) ensures a process can only touch its own entries.
+//!
+//! Fully associative is the architecture, not the implementation: an exact
+//! slot index (one occupancy mask per bucket of virtual pages) lets a
+//! lookup, a write's duplicate eviction and a page shoot-down visit only
+//! the slots that could hold the page, in slot order.
 
-use std::cell::Cell;
 use std::fmt;
 
 /// Number of TLB entries (as in the R3000).
@@ -15,9 +19,6 @@ pub const TLB_ENTRIES: usize = 64;
 
 /// Hardware page size: 4 KB, the granularity the paper works against.
 pub const PAGE_SIZE: u32 = 4096;
-
-/// Entries in the lookup hint table (direct-mapped by virtual page).
-const HINTS: usize = 8;
 
 /// Bit positions within the raw `EntryLo` word.
 pub mod entry_lo {
@@ -139,23 +140,66 @@ impl fmt::Display for TlbFault {
 /// matches any address (unlike an entry with the valid bit clear, which
 /// matches and faults with [`TlbFault::Invalid`] — that distinction is what
 /// makes protect-all pages work).
+///
+/// Lookups do not scan the slots. An exact index keeps, per bucket of
+/// virtual pages, the mask of occupied slots whose entry lies in that
+/// bucket; a lookup walks only its page's bucket, lowest slot first, so it
+/// finds the same first match a linear scan would.
 #[derive(Clone, Debug)]
 pub struct Tlb {
     entries: [Option<TlbEntry>; TLB_ENTRIES],
+    /// Bit `s` of `buckets[b]` is set exactly when slot `s` holds an entry
+    /// whose VPN falls in bucket `b` (see [`bucket`]).
+    buckets: [u64; BUCKETS],
     /// Bumped by every mutating operation. Consumers that cache derived
     /// translation state compare this to detect TLB writes, evictions,
-    /// flushes, and protection changes: the hint table below, the decode
-    /// cache in `machine.rs`, and the superblock cache, whose blocks
-    /// re-translate their start address and are retagged when the
-    /// translation still lands on the same physical page.
+    /// flushes, and protection changes: the decode cache in `machine.rs`,
+    /// and the superblock cache, whose blocks re-translate their start
+    /// address and are retagged when the translation still lands on the
+    /// same physical page. Checkpoints carry it, so a restored run's cache
+    /// tags evolve exactly as the uninterrupted run's.
     generation: u64,
-    /// Lookup hints, direct-mapped by virtual page: `(generation, vpn,
-    /// asid, slot)` records that `slot` was the first entry matching
-    /// (`vpn`, `asid`) while the TLB was at `generation`. Every mutation
-    /// bumps the generation, so a hint is exact for as long as its key can
-    /// still match; [`Tlb::restore`] rewinds the generation and therefore
-    /// resets every hint.
-    hints: [Cell<(u64, u32, u8, u8)>; HINTS],
+}
+
+/// Buckets of the slot index, keyed by the low bits of the VPN.
+const BUCKETS: usize = 64;
+
+/// The slot-index bucket of a virtual page number.
+fn bucket(vpn: u32) -> usize {
+    vpn as usize % BUCKETS
+}
+
+/// The slots set in `mask`, lowest first.
+fn slots_of(mut mask: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let slot = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            slot
+        })
+    })
+}
+
+/// The protection bits of one resident entry, open for an edit that
+/// cannot touch its translation (the `utlbp` instruction's view).
+#[derive(Debug)]
+pub struct ProtectionMut<'a>(&'a mut TlbEntry);
+
+impl ProtectionMut<'_> {
+    /// The entry being edited, read-only.
+    pub fn entry(&self) -> &TlbEntry {
+        self.0
+    }
+
+    /// Sets the valid bit (clear = protect-all).
+    pub fn set_valid(&mut self, valid: bool) {
+        self.0.valid = valid;
+    }
+
+    /// Sets the dirty bit (clear = write-protect).
+    pub fn set_dirty(&mut self, dirty: bool) {
+        self.0.dirty = dirty;
+    }
 }
 
 impl Default for Tlb {
@@ -169,8 +213,8 @@ impl Tlb {
     pub fn new() -> Tlb {
         Tlb {
             entries: [None; TLB_ENTRIES],
+            buckets: [0; BUCKETS],
             generation: 0,
-            hints: Tlb::no_hints(),
         }
     }
 
@@ -187,7 +231,7 @@ impl Tlb {
     /// Returns the appropriate [`TlbFault`] when no usable translation
     /// exists.
     pub fn translate(&self, vaddr: u32, asid: u8, is_write: bool) -> Result<u32, TlbFault> {
-        let entry = self.lookup(vaddr, asid).ok_or(TlbFault::Miss)?;
+        let (_, entry) = self.first_match(vaddr, asid).ok_or(TlbFault::Miss)?;
         if !entry.valid {
             return Err(TlbFault::Invalid);
         }
@@ -197,32 +241,21 @@ impl Tlb {
         Ok((entry.pfn << 12) | (vaddr & (PAGE_SIZE - 1)))
     }
 
-    /// The first entry matching `vaddr`/`asid`: the hinted slot when the
-    /// hint for this page is current, else a scan that refreshes the hint.
-    fn lookup(&self, vaddr: u32, asid: u8) -> Option<&TlbEntry> {
-        let vpn = vaddr >> 12;
-        let hint = &self.hints[vpn as usize % HINTS];
-        let (generation, hint_vpn, hint_asid, slot) = hint.get();
-        if generation == self.generation && hint_vpn == vpn && hint_asid == asid {
-            return self.entries[usize::from(slot)].as_ref();
-        }
-        let slot = self.probe(vaddr, asid)?;
-        hint.set((self.generation, vpn, asid, slot as u8));
-        self.entries[slot].as_ref()
-    }
-
-    /// An empty hint table. Keys carry a VPN above the 20-bit range, so no
-    /// lookup can match them whatever the generation.
-    fn no_hints() -> [Cell<(u64, u32, u8, u8)>; HINTS] {
-        std::array::from_fn(|_| Cell::new((0, u32::MAX, 0, 0)))
-    }
-
-    /// Finds the index of the entry matching `vaddr`/`asid`, if any
-    /// (the `tlbp` probe).
+    /// Finds the index of the first (lowest) entry matching `vaddr`/`asid`,
+    /// if any (the `tlbp` probe).
     pub fn probe(&self, vaddr: u32, asid: u8) -> Option<usize> {
-        self.entries
-            .iter()
-            .position(|e| e.is_some_and(|e| e.matches(vaddr, asid)))
+        self.first_match(vaddr, asid).map(|(slot, _)| slot)
+    }
+
+    /// The lowest slot matching `vaddr`/`asid` and its entry: a walk of
+    /// the page's bucket only.
+    fn first_match(&self, vaddr: u32, asid: u8) -> Option<(usize, &TlbEntry)> {
+        slots_of(self.buckets[bucket(vaddr >> 12)]).find_map(|slot| {
+            self.entries[slot]
+                .as_ref()
+                .filter(|e| e.matches(vaddr, asid))
+                .map(|e| (slot, e))
+        })
     }
 
     /// Reads the entry at `index`; empty slots read as an all-zero entry,
@@ -235,6 +268,13 @@ impl Tlb {
         self.entries[index].unwrap_or_default()
     }
 
+    /// Empties `slot` in the entries and the index alike.
+    fn vacate(&mut self, slot: usize) {
+        if let Some(e) = self.entries[slot].take() {
+            self.buckets[bucket(e.vpn)] &= !(1 << slot);
+        }
+    }
+
     /// Writes the entry at `index`, evicting any other entry that would
     /// create a duplicate match (real hardware shuts down on duplicates; we
     /// keep the machine deterministic instead).
@@ -244,17 +284,17 @@ impl Tlb {
     /// Panics if `index >= TLB_ENTRIES`.
     pub fn write(&mut self, index: usize, entry: TlbEntry) {
         self.generation = self.generation.wrapping_add(1);
-        for (i, slot) in self.entries.iter_mut().enumerate() {
-            if i == index {
-                continue;
-            }
-            if let Some(e) = slot {
-                if e.vpn == entry.vpn && (e.global || entry.global || e.asid == entry.asid) {
-                    *slot = None;
-                }
+        self.vacate(index);
+        let b = bucket(entry.vpn);
+        for slot in slots_of(self.buckets[b]) {
+            if self.entries[slot].is_some_and(|e| {
+                e.vpn == entry.vpn && (e.global || entry.global || e.asid == entry.asid)
+            }) {
+                self.vacate(slot);
             }
         }
         self.entries[index] = Some(entry);
+        self.buckets[b] |= 1 << index;
     }
 
     /// Empties the slot at `index`.
@@ -264,21 +304,22 @@ impl Tlb {
     /// Panics if `index >= TLB_ENTRIES`.
     pub fn clear(&mut self, index: usize) {
         self.generation = self.generation.wrapping_add(1);
-        self.entries[index] = None;
+        self.vacate(index);
     }
 
     /// Empties every slot (full flush).
     pub fn flush(&mut self) {
         self.generation = self.generation.wrapping_add(1);
         self.entries = [None; TLB_ENTRIES];
+        self.buckets = [0; BUCKETS];
     }
 
     /// Empties all slots belonging to one address space.
     pub fn flush_asid(&mut self, asid: u8) {
         self.generation = self.generation.wrapping_add(1);
-        for slot in &mut self.entries {
-            if slot.is_some_and(|e| !e.global && e.asid == asid) {
-                *slot = None;
+        for slot in 0..TLB_ENTRIES {
+            if self.entries[slot].is_some_and(|e| !e.global && e.asid == asid) {
+                self.vacate(slot);
             }
         }
     }
@@ -287,23 +328,20 @@ impl Tlb {
     /// protection changes must shoot the stale mapping down).
     pub fn invalidate_page(&mut self, vaddr: u32, asid: u8) {
         self.generation = self.generation.wrapping_add(1);
-        for slot in &mut self.entries {
-            if slot.is_some_and(|e| e.matches(vaddr, asid)) {
-                *slot = None;
+        for slot in slots_of(self.buckets[bucket(vaddr >> 12)]) {
+            if self.entries[slot].is_some_and(|e| e.matches(vaddr, asid)) {
+                self.vacate(slot);
             }
         }
     }
 
-    /// Mutable access to the entry matching `vaddr`/`asid`, used by the
-    /// `utlbp` implementation.
-    pub fn entry_matching_mut(&mut self, vaddr: u32, asid: u8) -> Option<&mut TlbEntry> {
-        // The caller may rewrite protection bits through the returned
-        // reference; bump conservatively at hand-out time.
+    /// The protection bits of the entry matching `vaddr`/`asid`, for the
+    /// `utlbp` implementation. The generation bumps whether or not an entry
+    /// matches, since the caller may rewrite the bits it is handed.
+    pub fn protection_mut(&mut self, vaddr: u32, asid: u8) -> Option<ProtectionMut<'_>> {
         self.generation = self.generation.wrapping_add(1);
-        self.entries
-            .iter_mut()
-            .flatten()
-            .find(|e| e.matches(vaddr, asid))
+        let slot = self.probe(vaddr, asid)?;
+        self.entries[slot].as_mut().map(ProtectionMut)
     }
 
     /// Iterates over all occupied entries.
@@ -322,15 +360,20 @@ impl Tlb {
 
     /// Replaces the entire TLB — slots *and* generation counter — with
     /// checkpointed state. Unlike [`Tlb::write`] this performs no duplicate
-    /// eviction (the snapshot came from a TLB that already enforced it) and
-    /// sets the generation exactly, so a restored run's translation-cache
-    /// tags evolve identically to the uninterrupted run it forked from.
-    /// The lookup hints are reset: the restored generation may be one that
-    /// an existing hint was keyed by, over different slots.
+    /// eviction (the snapshot came from a TLB that already enforced it, and
+    /// lookups keep first-match order over duplicates anyway) and sets the
+    /// generation exactly, so a restored run's translation-cache tags evolve
+    /// identically to the uninterrupted run it forked from. The slot index
+    /// is rebuilt from the slots.
     pub fn restore(&mut self, slots: [Option<TlbEntry>; TLB_ENTRIES], generation: u64) {
         self.entries = slots;
         self.generation = generation;
-        self.hints = Tlb::no_hints();
+        self.buckets = [0; BUCKETS];
+        for (slot, e) in self.entries.iter().enumerate() {
+            if let Some(e) = e {
+                self.buckets[bucket(e.vpn)] |= 1 << slot;
+            }
+        }
     }
 }
 
@@ -447,9 +490,9 @@ mod tests {
         tlb.translate(0x0040_0000, 1, false).unwrap();
         tlb.probe(0x0040_0000, 1);
         assert_eq!(tlb.generation(), g1, "reads must not bump");
-        tlb.entry_matching_mut(0x0040_0000, 1).unwrap().dirty = false;
+        tlb.protection_mut(0x0040_0000, 1).unwrap().set_dirty(false);
         let g2 = tlb.generation();
-        assert_ne!(g1, g2, "protection edits through entry_matching_mut bump");
+        assert_ne!(g1, g2, "protection edits through protection_mut bump");
         tlb.invalidate_page(0x0040_0000, 1);
         let g3 = tlb.generation();
         assert_ne!(g2, g3);

@@ -442,8 +442,16 @@ fn check_machine(
     Ok(())
 }
 
+/// 1024 cases, or `PROPTEST_CASES` when set (`ci.sh` runs more).
+fn cases() -> u32 {
+    std::env::var("PROPTEST_CASES")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(1024)
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(1024))]
+    #![proptest_config(ProptestConfig::with_cases(cases()))]
 
     /// Both engines run one random instruction as `sem` and `static_cost`
     /// define it, and agree with each other.

@@ -541,6 +541,63 @@ fn data_page_protection_toggles_keep_blocks() {
     );
 }
 
+/// A breakpoint round trip between the user block at `0x0040_0098` and the
+/// kernel return block at `0x8000_00b8`, `trips` times, then an exit
+/// through a user TLB miss. Both blocks hash to superblock set 0x2e, as in
+/// the fast-user breakpoint row. Returns the superblock machine after
+/// checking it against the interpreter.
+fn same_set_round_trips(trips: u32) -> Machine {
+    let src = r#"
+    .org 0x80000000                 # UTLB miss vector: the exit
+        hcall 1
+    .org 0x80000080                 # general vector
+        j     ret
+        nop
+    .org 0x800000b8
+    ret:
+        mfc0  $k0, $epc
+        addiu $k0, $k0, 4
+        jr    $k0
+        rfe
+    .org 0x80004094                 # runs mapped at 0x00400094
+    trap:
+        break 0
+        addiu $t1, $t1, -1          # 0x00400098: entered after each return
+        bne   $t1, $zero, trap
+        nop
+        lw    $t0, 0($zero)         # unmapped: exit
+"#;
+    let text = TlbEntry {
+        dirty: false,
+        ..mapping(0x400, 0, 4)
+    };
+    let sb = run_churn(src, 0x0040_0094, &[(1, text)], |m| {
+        m.cpu_mut().set_reg(Reg::T1, trips);
+        m.cp0_mut().status = status::KUC;
+        m.set_asid(0);
+    });
+    assert_eq!(sb.exceptions_taken(), u64::from(trips) + 1);
+    sb
+}
+
+/// Two hot blocks whose start addresses share a superblock set both stay
+/// resident: past warm-up, more round trips hit and never rebuild.
+#[test]
+fn blocks_sharing_a_set_both_stay_resident() {
+    let short = same_set_round_trips(4);
+    let long = same_set_round_trips(400);
+    let (short_hits, short_misses, _) = short.superblock_stats();
+    let (long_hits, long_misses, _) = long.superblock_stats();
+    assert_eq!(
+        long_misses, short_misses,
+        "alternating blocks of one set must not evict each other"
+    );
+    assert!(
+        long_hits - short_hits >= 2 * (400 - 4),
+        "every extra round trip re-enters both blocks"
+    );
+}
+
 proptest! {
     /// Arbitrary word soups (valid and reserved encodings, branches into
     /// zeroed memory, stores over their own text, CP0 writes) execute

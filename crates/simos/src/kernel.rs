@@ -1399,7 +1399,7 @@ impl Kernel {
                 self.machine.charge_cycles(costs::FAST_GUEST_PHASES_EQUIV);
             }
             self.trace_emit(EventKind::KernelEntered, path, class, code, badv, epc);
-            self.write_comm_frame(code, epc, bad);
+            self.write_comm_frame(code, epc, bad)?;
             self.trace_emit(EventKind::StateSaved, path, class, code, badv, epc);
             // State is saved, the handler has not yet run: the injection
             // window for comm-page corruption and TLB eviction.
@@ -1532,28 +1532,46 @@ impl Kernel {
     /// Writes the per-exception communication frame through the comm page's
     /// KSEG0 alias (used when the guest save phase did not run, and to
     /// keep the bad-address slot authoritative).
-    fn write_comm_frame(&mut self, code: ExcCode, epc: u32, bad: Option<u32>) {
+    ///
+    /// # Errors
+    ///
+    /// [`KernelError::Delivery`] when a frame word lies past physical
+    /// memory. Fast delivery checks the alias first
+    /// ([`Kernel::fast_path_intact`]), so this only fires on a broken
+    /// invariant.
+    fn write_comm_frame(
+        &mut self,
+        code: ExcCode,
+        epc: u32,
+        bad: Option<u32>,
+    ) -> Result<(), KernelError> {
         let base = self.proc.fast.comm_kseg0;
         if base == 0 {
-            return; // host-level registration without a guest comm page
+            return Ok(()); // host-level registration without a guest comm page
         }
         let Some(phys) = kseg_to_phys(base) else {
             // A corrupt alias must not alias physical 0 (the UTLB vector).
-            return;
+            return Ok(());
         };
         let frame = phys + code.code() * layout::COMM_FRAME_SIZE;
-        let cause = self.machine.cp0().cause;
-        let at = self.machine.cpu().reg(Reg::AT);
-        let a0 = self.machine.cpu().reg(Reg::A0);
-        let a1 = self.machine.cpu().reg(Reg::A1);
+        let words = [
+            (layout::comm::EPC, epc),
+            (layout::comm::CAUSE, self.machine.cp0().cause),
+            (layout::comm::BADVADDR, bad.unwrap_or(0)),
+            (layout::comm::AT, self.machine.cpu().reg(Reg::AT)),
+            (layout::comm::K0, self.machine.cpu().reg(Reg::A0)),
+            (layout::comm::K1, self.machine.cpu().reg(Reg::A1)),
+            (layout::comm::ACTIVE, 1),
+        ];
         let mem = self.machine.mem_mut();
-        let _ = mem.write_u32(frame + layout::comm::EPC, epc);
-        let _ = mem.write_u32(frame + layout::comm::CAUSE, cause);
-        let _ = mem.write_u32(frame + layout::comm::BADVADDR, bad.unwrap_or(0));
-        let _ = mem.write_u32(frame + layout::comm::AT, at);
-        let _ = mem.write_u32(frame + layout::comm::K0, a0);
-        let _ = mem.write_u32(frame + layout::comm::K1, a1);
-        let _ = mem.write_u32(frame + layout::comm::ACTIVE, 1);
+        for (offset, value) in words {
+            mem.write_u32(frame + offset, value)
+                .map_err(|e| KernelError::Delivery {
+                    reason: format!("comm frame write: {e}"),
+                    epc,
+                })?;
+        }
+        Ok(())
     }
 
     /// Installs a TLB entry for `vaddr` from the page table, round-robin
@@ -2246,6 +2264,26 @@ mod tests {
         assert_eq!(out, RunOutcome::Exited(55));
         assert_eq!(k.process().stats.fast_delivered, 1);
         assert_eq!(k.process().stats.degraded_deliveries, 0, "bit-exact");
+    }
+
+    #[test]
+    fn comm_frame_write_past_physical_memory_is_a_typed_error() {
+        let mut k = boot();
+        let end = k.machine.mem().size() as u32;
+        k.proc.fast.comm_kseg0 = 0x8000_0000 | end;
+        let err = k
+            .write_comm_frame(ExcCode::Breakpoint, 0x0040_0010, None)
+            .unwrap_err();
+        assert!(
+            matches!(
+                err,
+                KernelError::Delivery {
+                    epc: 0x0040_0010,
+                    ..
+                }
+            ),
+            "{err}"
+        );
     }
 
     #[test]
