@@ -17,8 +17,9 @@ gate build cargo build --release
 gate test cargo test -q
 gate test-workspace cargo test --workspace -q
 # The machine's reference models at depth: the TLB slot index against a
-# linear scan, and both engines against the instruction semantics.
-gate mips-models env PROPTEST_CASES=4096 cargo test --release -q -p efex-mips --test tlb_lookup --test conformance
+# linear scan, both engines against the instruction semantics, and the
+# superblock engine against the interpreter in lockstep.
+gate mips-models env PROPTEST_CASES=4096 cargo test --release -q -p efex-mips --test tlb_lookup --test conformance --test superblock
 gate lint cargo run --release -p efex-bench --bin lint -- --baseline BENCH_baseline.json
 gate inject cargo run --release -p efex-bench --bin inject -- --all
 gate fleet-determinism cargo run --release -p efex-bench --bin fleet -- --tenants 16 --threads 4 --check-determinism

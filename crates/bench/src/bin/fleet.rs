@@ -31,7 +31,7 @@
 //! Simulated results (stats, cycle-derived times, histograms) are
 //! deterministic and gated. Wall time appears only in the summary line and
 //! is never gated; the benchmark under `hostbench/` records host time (guest
-//! Mips per engine, decode-cache hit ratio, fleet parallel efficiency) — see
+//! Mips per engine, block-cache hit ratio, fleet parallel efficiency) — see
 //! `hostbench/README.md`.
 
 use efex_fleet::{run_fleet, run_fleet_kill_shard, run_fleet_migrate, FleetConfig, FleetReport};

@@ -257,12 +257,6 @@ fn health() {
     let reg = mon.registry_ref();
     let g = |name: &str| reg.get("tenant-health", None, name).unwrap_or(0);
     println!(
-        "decode cache (delivery probes): {} hits / {} misses / {} evictions",
-        g("probe_decode_cache_hits"),
-        g("probe_decode_cache_misses"),
-        g("probe_decode_cache_evictions"),
-    );
-    println!(
         "repairs: {} utlb, {} comm-page; degraded deliveries: {}",
         g("utlb_repairs"),
         g("comm_page_repairs"),

@@ -62,9 +62,13 @@ pub struct DeliveryCosts {
 impl DeliveryCosts {
     /// The default cost profile for a path, in 25 MHz cycles.
     ///
-    /// These constants mirror what the guest microbenchmarks measure (see
-    /// `System::measure_null_roundtrip`); keeping them as constants makes
-    /// host-level application runs deterministic and cheap to construct.
+    /// These constants are the paper's Table 2 (and its Unix baseline), not
+    /// what this machine measures with `System::measure_null_roundtrip`:
+    /// they differ, e.g. the fast path's `simple_return` is charged 75
+    /// cycles but measures 45. ROADMAP item 10 tabulates every difference
+    /// and plans to charge the measured rows instead. Keeping them as
+    /// constants makes host-level application runs deterministic and
+    /// cheap to construct.
     pub fn for_path(path: DeliveryPath) -> DeliveryCosts {
         use efex_simos::costs;
         match path {

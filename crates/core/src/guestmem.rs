@@ -173,7 +173,7 @@ pub struct GuestConfig {
     pub access_cost: u64,
     /// Degradation policy for deliveries that cannot take the path.
     pub degrade_policy: DegradePolicy,
-    /// Machine configuration (execution engine, decode cache). `None`
+    /// Machine configuration (execution engine). `None`
     /// inherits the building thread's scoped default — see
     /// [`efex_mips::machine::with_machine_config`].
     pub machine: Option<MachineConfig>,

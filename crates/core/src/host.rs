@@ -270,7 +270,7 @@ impl HostBuilder {
         self
     }
 
-    /// Selects the machine configuration (execution engine, decode cache).
+    /// Selects the machine configuration (execution engine).
     /// Unset, the booting thread's scoped default applies — see
     /// [`efex_mips::machine::with_machine_config`].
     pub fn machine_config(mut self, cfg: MachineConfig) -> HostBuilder {

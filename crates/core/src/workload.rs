@@ -18,7 +18,7 @@ pub struct WorkloadRun {
     /// The application's own counters (e.g. `GcStats`). Deterministic.
     pub stats: StatsSnapshot,
     /// Health-plane counters from the host kernel underneath the app
-    /// (decode cache, TLB repairs, degraded deliveries, …). Observability
+    /// (block cache, TLB repairs, degraded deliveries, …). Observability
     /// only — never part of the fingerprint.
     pub health: StatsSnapshot,
 }

@@ -13,8 +13,8 @@
 //! health [`StatsSnapshot`]: the workload host's effectiveness counters plus
 //! a `probe_`-prefixed **delivery probe** — one traced fast-path delivery of
 //! the suite's characteristic exception kind on a fresh guest, which exposes
-//! decode-cache hit/eviction behaviour, UTLB/comm-page repairs, and trace-ring
-//! overflow for that tenant. [`FleetReport::health_monitor`] folds all of it
+//! UTLB/comm-page repairs, degraded deliveries, and trace-ring overflow for
+//! that tenant. [`FleetReport::health_monitor`] folds all of it
 //! (plus the fleet aggregate, the latency histogram, and the static fast-path
 //! budget from `efex-verify`) into an [`efex_health::HealthMonitor`] armed
 //! with [`fleet_invariants`]. Health data is strictly host-side: it charges
@@ -145,10 +145,9 @@ pub struct TenantSpec {
     pub suite: Suite,
     /// Deterministic workload seed (derived from the fleet base seed).
     pub seed: u64,
-    /// Machine configuration (execution engine, decode cache) every guest
-    /// this tenant constructs builds from. Applied as the worker thread's
-    /// scoped default, so tenants on different engines never race — the fix
-    /// for the old process-global decode-cache switches.
+    /// Machine configuration (execution engine) every guest this tenant
+    /// constructs builds from. Applied as the worker thread's scoped
+    /// default, so tenants on different engines never race.
     pub machine: MachineConfig,
 }
 
@@ -358,21 +357,25 @@ impl FleetReport {
 
     /// Builds the armed health monitor for this run with the default
     /// evaluation interval ([`DEFAULT_HEALTH_INTERVAL_CYCLES`]). See
-    /// [`FleetReport::health_monitor_with_interval`].
+    /// [`FleetReport::health_monitor_with`].
     pub fn health_monitor(&self) -> HealthMonitor {
-        self.health_monitor_with_interval(DEFAULT_HEALTH_INTERVAL_CYCLES)
+        self.health_monitor_with(DEFAULT_HEALTH_INTERVAL_CYCLES, fleet_invariants())
     }
 
-    /// Builds a [`HealthMonitor`] armed with [`fleet_invariants`] and fed
-    /// from every layer: per-tenant workload stats and health snapshots, the
+    /// Builds a [`HealthMonitor`] armed with `invariants` (callers extend
+    /// [`fleet_invariants`]) and fed from every layer: per-tenant workload stats and health snapshots, the
     /// fleet aggregate and an aggregate health rollup, the latency
     /// histogram, and the static fast-path budget. Tenants are replayed in
     /// id order against the accumulated simulated-cycle clock, so interval
     /// evaluations fire as they would have during the run; the caller
     /// finishes with [`HealthMonitor::finish`] for the end-of-run pass.
-    pub fn health_monitor_with_interval(&self, interval_cycles: u64) -> HealthMonitor {
+    pub fn health_monitor_with(
+        &self,
+        interval_cycles: u64,
+        invariants: Vec<Invariant>,
+    ) -> HealthMonitor {
         let mut mon = HealthMonitor::new().with_interval(interval_cycles);
-        for inv in fleet_invariants() {
+        for inv in invariants {
             mon.add_invariant(inv);
         }
         let mut cycles = 0u64;
@@ -449,37 +452,6 @@ pub const DEFAULT_HEALTH_INTERVAL_CYCLES: u64 = 100_000;
 pub fn fleet_invariants() -> Vec<Invariant> {
     let th = |name: &str| MetricRef::new("tenant-health", name);
     let mut invs = vec![
-        // The decode cache must stay effective on the fast path. A healthy
-        // probe re-delivers from a handful of pages, so hits dominate
-        // misses; systematic slot aliasing drives the ratio toward zero.
-        Invariant::ratio_min(
-            "decode-cache-hit-rate",
-            th("probe_decode_cache_hits"),
-            th("probe_decode_cache_misses"),
-            0.5,
-        )
-        .per_tenant()
-        .warmup(th("probe_decode_cache_misses"), 4)
-        .hint(
-            "the delivery probe's decode cache stopped being effective; check \
-             Machine::dcache_slot (efex-mips) for systematic slot aliasing",
-        ),
-        // Installs should be cold fills, not evictions of live pages. The
-        // probe is a fixed small workload over a handful of code pages and
-        // 1024 slots, so a healthy run evicts nothing at all; any sustained
-        // eviction count means distinct pages are fighting over slots.
-        Invariant::max(
-            "decode-cache-eviction-churn",
-            th("probe_decode_cache_evictions"),
-            4,
-        )
-        .per_tenant()
-        .warmup(th("probe_decode_cache_misses"), 4)
-        .hint(
-            "the delivery probe's decode cache keeps evicting live pages: \
-                 distinct pages hash to the same slot (check the slot hash's \
-                 input bits)",
-        ),
         // Degraded (full-state) deliveries mean the fast path gave up.
         Invariant::max("degraded-deliveries", th("degraded_deliveries"), 0).hint(
             "the kernel fell back to full-state degraded delivery; check \
@@ -580,7 +552,7 @@ pub fn run_tenant(spec: TenantSpec, trace: bool, health: bool) -> Result<TenantR
     }
     let mut events = Vec::new();
     if trace || health {
-        let probe = delivery_probe(spec.suite, spec.machine).map_err(|e| err(&e))?;
+        let probe = delivery_probe(spec.suite).map_err(|e| err(&e))?;
         if trace {
             events = probe.events;
         }
@@ -674,8 +646,6 @@ impl TenantCheckpoint {
             efex_mips::machine::ExecEngine::Interpreter => 0,
             efex_mips::machine::ExecEngine::Superblock => 1,
         });
-        w.bool(self.spec.machine.decode_cache);
-        w.bool(self.spec.machine.mod64_slots);
         w.u32(self.legs_total);
         w.u32(self.legs_done);
         w.f64(self.micros);
@@ -704,8 +674,6 @@ impl TenantCheckpoint {
             1 => efex_mips::machine::ExecEngine::Superblock,
             t => return Err(efex_snap::SnapError::Corrupt(format!("engine tag {t}"))),
         };
-        let decode_cache = r.bool()?;
-        let mod64_slots = r.bool()?;
         let legs_total = r.u32()?;
         let legs_done = r.u32()?;
         if legs_total == 0 || legs_done > legs_total {
@@ -721,17 +689,12 @@ impl TenantCheckpoint {
         };
         let health = decode_counters(&mut r, "tenant-health")?;
         r.done()?;
-        let machine = MachineConfig {
-            engine,
-            decode_cache,
-            mod64_slots,
-        };
         Ok(TenantCheckpoint {
             spec: TenantSpec {
                 id,
                 suite,
                 seed,
-                machine,
+                machine: MachineConfig { engine },
             },
             legs_total,
             legs_done,
@@ -818,7 +781,7 @@ pub fn resume_tenant(
     }
     let mut events = Vec::new();
     if trace || health {
-        let probe = delivery_probe(ckpt.spec.suite, ckpt.spec.machine).map_err(|e| err(&e))?;
+        let probe = delivery_probe(ckpt.spec.suite).map_err(|e| err(&e))?;
         if trace {
             events = probe.events;
         }
@@ -1103,64 +1066,46 @@ struct DeliveryProbe {
     health: StatsSnapshot,
 }
 
-/// Everything a delivery probe's result depends on: the exception kind it
-/// delivers and the probe guest's machine config.
-type ProbeKey = (ExceptionKind, MachineConfig);
-
-/// The probe key of a tenant of `suite` running on `tenant`. The probe's
-/// decode-cache health invariants (hit rate, eviction churn) characterize
-/// the reference engine's per-instruction cache, so the probe guest pins
-/// the interpreter with the cache on, whatever engine the tenant runs —
-/// only the test-only slot-hash pathology carries over (the canary arms it
-/// per-tenant and expects the probe to feel it).
-fn probe_key(suite: Suite, tenant: MachineConfig) -> ProbeKey {
-    (
-        suite.sample_kind(),
-        MachineConfig::default()
-            .engine(efex_mips::machine::ExecEngine::Interpreter)
-            .mod64_slots(tenant.mod64_slots),
-    )
-}
-
-/// The tenant's delivery probe, run once per process for each
-/// [`ProbeKey`]: the probe is a pure function of its key, so every tenant
-/// sharing a key shares the first result. Failures are not kept.
-fn delivery_probe(suite: Suite, tenant: MachineConfig) -> Result<DeliveryProbe, String> {
-    static PROBES: Mutex<Vec<(ProbeKey, DeliveryProbe)>> = Mutex::new(Vec::new());
-    let key = probe_key(suite, tenant);
-    let cached = |probes: &[(ProbeKey, DeliveryProbe)]| {
+/// The tenant's delivery probe, run once per process for each exception
+/// kind: the probe is a pure function of the kind, so every tenant whose
+/// suite samples that kind shares the first result. Failures are not kept.
+fn delivery_probe(suite: Suite) -> Result<DeliveryProbe, String> {
+    static PROBES: Mutex<Vec<(ExceptionKind, DeliveryProbe)>> = Mutex::new(Vec::new());
+    let kind = suite.sample_kind();
+    let cached = |probes: &[(ExceptionKind, DeliveryProbe)]| {
         probes
             .iter()
-            .find(|(k, _)| *k == key)
+            .find(|(k, _)| *k == kind)
             .map(|(_, p)| p.clone())
     };
     let lock = || PROBES.lock().expect("no probe-memo holder panics");
     if let Some(probe) = cached(&lock()) {
         return Ok(probe);
     }
-    let probe = measure_delivery_probe(key).map_err(|e| e.to_string())?;
+    let probe = measure_delivery_probe(kind).map_err(|e| e.to_string())?;
     let mut probes = lock();
-    // Another worker may have measured the same key meanwhile; both runs
+    // Another worker may have measured the same kind meanwhile; both runs
     // are identical, so keep the first.
     if cached(&probes).is_none() {
-        probes.push((key, probe.clone()));
+        probes.push((kind, probe.clone()));
     }
     Ok(probe)
 }
 
-/// One traced fast-path delivery of `key`'s exception kind on a fresh
-/// guest. The trace and health planes share this single simulation: the
-/// ring buffers the lifecycle events, and the guest's kernel/machine
-/// counters (decode cache, repairs, ring occupancy) become the tenant's
-/// `probe_*` health metrics.
-fn measure_delivery_probe(
-    (kind, machine): ProbeKey,
-) -> Result<DeliveryProbe, efex_core::CoreError> {
+/// One traced fast-path delivery of `kind` on a fresh guest. The trace and
+/// health planes share this single simulation: the ring buffers the
+/// lifecycle events, and the guest's kernel/machine counters (repairs,
+/// block cache, ring occupancy) become the tenant's `probe_*` health
+/// metrics. The probe single-steps its guest, so both engines would run
+/// the same [`efex_mips::machine::Machine::step`]; it builds from the
+/// default machine config so that its result depends on `kind` alone,
+/// whatever engine the calling tenant's thread inherits.
+fn measure_delivery_probe(kind: ExceptionKind) -> Result<DeliveryProbe, efex_core::CoreError> {
     let ring = Rc::new(RingSink::with_capacity(64));
     let mut sys = System::builder()
         .delivery(DeliveryPath::FastUser)
         .trace_sink(ring.clone())
-        .machine_config(machine)
+        .machine_config(MachineConfig::default())
         .build()?;
     sys.measure_null_roundtrip(kind)?;
     let mut health = StatsSnapshot::new("tenant-health");
@@ -1305,18 +1250,14 @@ mod tests {
 
     #[test]
     fn memoized_delivery_probe_equals_a_fresh_one() {
-        for mod64 in [false, true] {
-            let machine = MachineConfig::default().mod64_slots(mod64);
-            for suite in Suite::ALL {
-                let key = probe_key(suite, machine);
-                let fresh = measure_delivery_probe(key).unwrap();
-                assert!(!fresh.events.is_empty(), "{suite}: probe traced nothing");
-                // The first call may measure; the second must hit the memo.
-                for _ in 0..2 {
-                    let memo = delivery_probe(suite, machine).unwrap();
-                    assert_eq!(memo.events, fresh.events, "{suite} mod64={mod64}");
-                    assert_eq!(memo.health, fresh.health, "{suite} mod64={mod64}");
-                }
+        for suite in Suite::ALL {
+            let fresh = measure_delivery_probe(suite.sample_kind()).unwrap();
+            assert!(!fresh.events.is_empty(), "{suite}: probe traced nothing");
+            // The first call may measure; the second must hit the memo.
+            for _ in 0..2 {
+                let memo = delivery_probe(suite).unwrap();
+                assert_eq!(memo.events, fresh.events, "{suite}");
+                assert_eq!(memo.health, fresh.health, "{suite}");
             }
         }
     }
@@ -1380,11 +1321,6 @@ mod tests {
         assert_eq!(r.health.get("degraded_deliveries"), Some(0));
         assert_eq!(r.health.get("comm_page_repairs"), Some(0));
         assert!(r.health.get("probe_cycles").unwrap() > 0, "probe ran");
-        assert!(
-            r.health.get("probe_decode_cache_hits").unwrap()
-                > r.health.get("probe_decode_cache_misses").unwrap(),
-            "healthy probe decode cache: hits dominate"
-        );
         assert_eq!(r.health.get("probe_ring_overwritten"), Some(0));
         assert!(r.health.get("probe_ring_total_pushed").unwrap() > 0);
     }
@@ -1532,9 +1468,7 @@ mod tests {
         assert!(mon.evaluations() > 0);
         // The registry really spans every layer.
         let reg = mon.registry_ref();
-        assert!(reg
-            .get("tenant-health", Some(0), "probe_decode_cache_hits")
-            .is_some());
+        assert!(reg.get("tenant-health", Some(0), "probe_cycles").is_some());
         assert!(
             reg.get("tenant-health", None, "probe_cycles").is_some(),
             "rollup"
@@ -1605,7 +1539,7 @@ mod tests {
             id: 3,
             suite: Suite::Watch,
             seed: 0xfeed,
-            machine: MachineConfig::default().mod64_slots(true),
+            machine: MachineConfig::default().engine(efex_mips::machine::ExecEngine::Interpreter),
         };
         let mut ckpt = TenantCheckpoint::initial(spec, 2);
         advance_tenant(&mut ckpt, 1).unwrap();
@@ -1613,7 +1547,7 @@ mod tests {
         assert_eq!(back.spec.id, spec.id);
         assert_eq!(back.spec.suite, spec.suite);
         assert_eq!(back.spec.seed, spec.seed);
-        assert!(back.spec.machine.mod64_slots);
+        assert_eq!(back.spec.machine, spec.machine);
         assert_eq!((back.legs_total, back.legs_done), (2, 1));
         assert_eq!(back.micros.to_bits(), ckpt.micros.to_bits());
         assert_eq!(

@@ -1,15 +1,15 @@
 //! Pins the health plane's observable output for fixed fleets: the
 //! Prometheus and JSONL expositions of a healthy 20-tenant fleet (by
 //! length, line count and FNV-1a digest, so any byte that moves fails), its
-//! findings, and the full findings of the mod-64 slot-aliasing canary. The
-//! values were recorded before the registry, the monitor and the worker pool
-//! were rewritten for speed; those rewrites must leave every byte in place.
+//! findings, and the full findings of a canary whose invariants are
+//! deliberately violated. A rewrite of the registry, the monitor or the
+//! worker pool must leave every byte in place.
 //!
 //! To re-record after an intended change, run this test with
 //! `--nocapture` and copy the printed digests.
 
-use efex_fleet::{run_fleet, FleetConfig};
-use efex_mips::machine::MachineConfig;
+use efex_fleet::{fleet_invariants, run_fleet, FleetConfig, DEFAULT_HEALTH_INTERVAL_CYCLES};
+use efex_health::{Invariant, MetricRef};
 
 /// FNV-1a, 64-bit: a stable digest with no dependency.
 fn fnv1a(text: &str) -> u64 {
@@ -45,19 +45,36 @@ fn healthy_fleet_expositions_are_pinned() {
 }
 
 const EVALUATIONS: u64 = 17;
-const PROM: (usize, usize, u64) = (93_499, 1_200, 6_800_074_445_399_957_544);
-const JSONL: (usize, usize, u64) = (131_889, 1_182, 7_714_350_725_731_240_763);
+const PROM: (usize, usize, u64) = (82_922, 1_074, 12_733_909_578_298_456_649);
+const JSONL: (usize, usize, u64) = (117_154, 1_056, 10_582_533_716_939_787_154);
 
+/// The canary: the same 5-tenant fleet's monitor armed with two more
+/// per-tenant invariants that every healthy tenant violates, over counters
+/// the fleet already records. No machine option is needed to make a tenant
+/// sick. The invariants are armed before the tenants are replayed, so this
+/// pins how the monitor reports findings — their order, tenant scope, the
+/// replay-clock cycle at which each first fires, and rendered text.
 #[test]
 fn canary_findings_are_pinned() {
     let report = run_fleet(&FleetConfig {
         tenants: 5,
         threads: 1,
-        machine: MachineConfig::default().mod64_slots(true),
         ..FleetConfig::default()
     })
-    .expect("aliasing is a performance bug, not a fault");
-    let mut mon = report.health_monitor();
+    .expect("healthy fleet");
+    let th = |name: &str| MetricRef::new("tenant-health", name);
+    let mut invariants = fleet_invariants();
+    invariants.push(
+        Invariant::ratio_max("canary-probe-share", th("probe_cycles"), th("cycles"), 0.0)
+            .per_tenant()
+            .hint("deliberately violated: every tenant's delivery probe charges cycles"),
+    );
+    invariants.push(
+        Invariant::max("canary-workload-cycles", th("cycles"), 0)
+            .per_tenant()
+            .hint("deliberately violated: every tenant's workload runs"),
+    );
+    let mut mon = report.health_monitor_with(DEFAULT_HEALTH_INTERVAL_CYCLES, invariants);
     let got: Vec<(String, Option<u32>, Option<u64>, String)> = mon
         .finish()
         .iter()
@@ -77,63 +94,63 @@ type Pinned = (&'static str, Option<u32>, Option<u64>, &'static str);
 
 const CANARY: &[Pinned] = &[
     (
-        "decode-cache-hit-rate",
+        "canary-probe-share",
         Some(0),
         Some(219556),
-        "[decode-cache-hit-rate] tenant 0: tenant-health/probe_decode_cache_hits / tenant-health/probe_decode_cache_misses = 0.000 (0 / 767) violates >= 0.5 at cycle 219556\n    > the delivery probe's decode cache stopped being effective; check Machine::dcache_slot (efex-mips) for systematic slot aliasing",
+        "[canary-probe-share] tenant 0: tenant-health/probe_cycles / tenant-health/cycles = 0.332 (54725 / 164831) violates <= 0 at cycle 219556\n    > deliberately violated: every tenant's delivery probe charges cycles",
     ),
     (
-        "decode-cache-eviction-churn",
+        "canary-workload-cycles",
         Some(0),
         Some(219556),
-        "[decode-cache-eviction-churn] tenant 0: tenant-health/probe_decode_cache_evictions = 61 violates <= 4 at cycle 219556\n    > the delivery probe's decode cache keeps evicting live pages: distinct pages hash to the same slot (check the slot hash's input bits)",
+        "[canary-workload-cycles] tenant 0: tenant-health/cycles = 164831 violates <= 0 at cycle 219556\n    > deliberately violated: every tenant's workload runs",
     ),
     (
-        "decode-cache-hit-rate",
+        "canary-probe-share",
         Some(1),
         Some(1530589),
-        "[decode-cache-hit-rate] tenant 1: tenant-health/probe_decode_cache_hits / tenant-health/probe_decode_cache_misses = 0.000 (0 / 767) violates >= 0.5 at cycle 1530589\n    > the delivery probe's decode cache stopped being effective; check Machine::dcache_slot (efex-mips) for systematic slot aliasing",
+        "[canary-probe-share] tenant 1: tenant-health/probe_cycles / tenant-health/cycles = 0.044 (54725 / 1256308) violates <= 0 at cycle 1530589\n    > deliberately violated: every tenant's delivery probe charges cycles",
     ),
     (
-        "decode-cache-eviction-churn",
+        "canary-workload-cycles",
         Some(1),
         Some(1530589),
-        "[decode-cache-eviction-churn] tenant 1: tenant-health/probe_decode_cache_evictions = 61 violates <= 4 at cycle 1530589\n    > the delivery probe's decode cache keeps evicting live pages: distinct pages hash to the same slot (check the slot hash's input bits)",
+        "[canary-workload-cycles] tenant 1: tenant-health/cycles = 1256308 violates <= 0 at cycle 1530589\n    > deliberately violated: every tenant's workload runs",
     ),
     (
-        "decode-cache-hit-rate",
+        "canary-probe-share",
         Some(2),
         Some(1635367),
-        "[decode-cache-hit-rate] tenant 2: tenant-health/probe_decode_cache_hits / tenant-health/probe_decode_cache_misses = 0.000 (0 / 429) violates >= 0.5 at cycle 1635367\n    > the delivery probe's decode cache stopped being effective; check Machine::dcache_slot (efex-mips) for systematic slot aliasing",
+        "[canary-probe-share] tenant 2: tenant-health/probe_cycles / tenant-health/cycles = 0.339 (26501 / 78277) violates <= 0 at cycle 1635367\n    > deliberately violated: every tenant's delivery probe charges cycles",
     ),
     (
-        "decode-cache-eviction-churn",
+        "canary-workload-cycles",
         Some(2),
         Some(1635367),
-        "[decode-cache-eviction-churn] tenant 2: tenant-health/probe_decode_cache_evictions = 21 violates <= 4 at cycle 1635367\n    > the delivery probe's decode cache keeps evicting live pages: distinct pages hash to the same slot (check the slot hash's input bits)",
+        "[canary-workload-cycles] tenant 2: tenant-health/cycles = 78277 violates <= 0 at cycle 1635367\n    > deliberately violated: every tenant's workload runs",
     ),
     (
-        "decode-cache-hit-rate",
+        "canary-probe-share",
         Some(3),
         Some(1795572),
-        "[decode-cache-hit-rate] tenant 3: tenant-health/probe_decode_cache_hits / tenant-health/probe_decode_cache_misses = 0.000 (0 / 767) violates >= 0.5 at cycle 1795572\n    > the delivery probe's decode cache stopped being effective; check Machine::dcache_slot (efex-mips) for systematic slot aliasing",
+        "[canary-probe-share] tenant 3: tenant-health/probe_cycles / tenant-health/cycles = 14.236 (54725 / 3844) violates <= 0 at cycle 1795572\n    > deliberately violated: every tenant's delivery probe charges cycles",
     ),
     (
-        "decode-cache-hit-rate",
+        "canary-probe-share",
         Some(4),
         Some(1795572),
-        "[decode-cache-hit-rate] tenant 4: tenant-health/probe_decode_cache_hits / tenant-health/probe_decode_cache_misses = 0.000 (0 / 1019) violates >= 0.5 at cycle 1795572\n    > the delivery probe's decode cache stopped being effective; check Machine::dcache_slot (efex-mips) for systematic slot aliasing",
+        "[canary-probe-share] tenant 4: tenant-health/probe_cycles / tenant-health/cycles = 1.344 (58283 / 43353) violates <= 0 at cycle 1795572\n    > deliberately violated: every tenant's delivery probe charges cycles",
     ),
     (
-        "decode-cache-eviction-churn",
+        "canary-workload-cycles",
         Some(3),
         Some(1795572),
-        "[decode-cache-eviction-churn] tenant 3: tenant-health/probe_decode_cache_evictions = 61 violates <= 4 at cycle 1795572\n    > the delivery probe's decode cache keeps evicting live pages: distinct pages hash to the same slot (check the slot hash's input bits)",
+        "[canary-workload-cycles] tenant 3: tenant-health/cycles = 3844 violates <= 0 at cycle 1795572\n    > deliberately violated: every tenant's workload runs",
     ),
     (
-        "decode-cache-eviction-churn",
+        "canary-workload-cycles",
         Some(4),
         Some(1795572),
-        "[decode-cache-eviction-churn] tenant 4: tenant-health/probe_decode_cache_evictions = 73 violates <= 4 at cycle 1795572\n    > the delivery probe's decode cache keeps evicting live pages: distinct pages hash to the same slot (check the slot hash's input bits)",
+        "[canary-workload-cycles] tenant 4: tenant-health/cycles = 43353 violates <= 0 at cycle 1795572\n    > deliberately violated: every tenant's workload runs",
     ),
 ];

@@ -218,7 +218,7 @@ impl Gc {
     }
 
     /// Health-plane snapshot of the host kernel underneath the collector
-    /// (decode cache, TLB repairs, degraded deliveries). Pure read.
+    /// (block cache, TLB repairs, degraded deliveries). Pure read.
     pub fn health_snapshot(&self) -> efex_trace::StatsSnapshot {
         self.host.health_snapshot()
     }

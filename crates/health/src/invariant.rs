@@ -90,7 +90,7 @@ pub enum Check {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Violation {
     /// What was measured, with the raw operands (e.g.
-    /// `"kernel-health/decode_cache_hits ratio 0.000 (0 / 1423)"`).
+    /// `"kernel-health/superblock_hits / kernel-health/superblock_misses = 0.000 (0 / 1423)"`).
     pub observed: String,
     /// The bound it broke (e.g. `">= 0.25"`).
     pub bound: String,
@@ -157,7 +157,7 @@ pub struct Warmup {
 /// One declarative health invariant.
 #[derive(Clone, Debug)]
 pub struct Invariant {
-    /// Short kebab-case identifier (e.g. `"decode-cache-hit-rate"`).
+    /// Short kebab-case identifier (e.g. `"degraded-deliveries"`).
     pub name: String,
     /// Aggregate vs per-tenant evaluation.
     pub scope: Scope,

@@ -1,8 +1,8 @@
 //! # efex-health — always-on effectiveness monitoring
 //!
-//! The stack's delivery mechanisms are *performance* mechanisms: the decode
+//! The stack's delivery mechanisms are *performance* mechanisms: the block
 //! cache, the pinned comm page, the fast exception path all stay
-//! architecturally transparent when they stop working — a decode cache
+//! architecturally transparent when they stop working — a block cache
 //! running at a 0% hit rate delivers exactly the same answers, just slower.
 //! Correctness tests can't see that failure mode. This crate watches for it:
 //!
@@ -27,16 +27,16 @@
 //!
 //! let mut mon = HealthMonitor::new().with_interval(10_000).invariant(
 //!     Invariant::ratio_min(
-//!         "decode-cache-hit-rate",
-//!         MetricRef::new("kernel-health", "decode_cache_hits"),
-//!         MetricRef::new("kernel-health", "decode_cache_misses"),
+//!         "superblock-hit-rate",
+//!         MetricRef::new("kernel-health", "superblock_hits"),
+//!         MetricRef::new("kernel-health", "superblock_misses"),
 //!         0.5,
 //!     )
-//!     .warmup(MetricRef::new("kernel-health", "decode_cache_misses"), 64)
-//!     .hint("the decode cache stopped being effective; check the slot hash"),
+//!     .warmup(MetricRef::new("kernel-health", "superblock_misses"), 64)
+//!     .hint("the block cache stopped being effective; check the set hash"),
 //! );
-//! mon.registry().record_counter("kernel-health", None, "decode_cache_hits", 900);
-//! mon.registry().record_counter("kernel-health", None, "decode_cache_misses", 100);
+//! mon.registry().record_counter("kernel-health", None, "superblock_hits", 900);
+//! mon.registry().record_counter("kernel-health", None, "superblock_misses", 100);
 //! mon.observe(50_000); // interval evaluation at simulated cycle 50k
 //! assert!(mon.finish().is_empty());
 //! ```

@@ -44,7 +44,7 @@ impl MetricKind {
 pub struct Sample<'a> {
     /// Which layer produced it (e.g. `"kernel-health"`, `"gc"`, `"fleet"`).
     pub component: &'a str,
-    /// Counter name within the component (e.g. `"decode_cache_hits"`).
+    /// Counter name within the component (e.g. `"superblock_hits"`).
     pub name: &'a str,
     /// `Some(id)` for per-tenant samples; `None` for aggregate ones.
     pub tenant: Option<u32>,

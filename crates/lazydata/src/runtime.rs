@@ -248,7 +248,7 @@ impl LazyRuntime {
     }
 
     /// Health-plane snapshot of the host kernel underneath the runtime
-    /// (decode cache, TLB repairs, degraded deliveries). Pure read.
+    /// (block cache, TLB repairs, degraded deliveries). Pure read.
     pub fn health_snapshot(&self) -> efex_trace::StatsSnapshot {
         self.host.health_snapshot()
     }

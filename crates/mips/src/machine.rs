@@ -182,72 +182,6 @@ pub enum Vectored {
     User(u32),
 }
 
-/// Slots in the decoded-instruction cache (direct-mapped by virtual page).
-const DCACHE_SLOTS: usize = 64;
-/// Instruction words per 4 KB page.
-const DCACHE_WORDS: usize = 1024;
-
-/// One page of decoded instructions.
-///
-/// A cached line is only usable while every input that produced it is
-/// provably unchanged:
-///
-/// - the *translation* — tagged by virtual page, ASID, processor mode, and
-///   the TLB's [`Tlb::generation`] counter (TLB-mapped pages only; KSEG0/1
-///   translations are fixed by the architecture);
-/// - the *text* — tagged by physical page and the page's
-///   [`Memory::page_version`] write counter.
-///
-/// Any TLB write/eviction/flush, `utlbp` protection change, or store to the
-/// page (guest or host) changes a tag and the stale lines miss. The cache
-/// therefore never affects architectural state, cycle accounting, or fault
-/// behaviour — only host-side wall-clock time.
-#[derive(Clone)]
-struct DecodePage {
-    vpn: u32,
-    asid: u8,
-    user: bool,
-    /// Translation went through the TLB (KUSEG/KSEG2) rather than the
-    /// fixed KSEG0/KSEG1 windows.
-    mapped: bool,
-    tlb_gen: u64,
-    page_paddr: u32,
-    mem_version: u32,
-    lines: Box<[Option<(u32, Instruction)>; DCACHE_WORDS]>,
-}
-
-impl fmt::Debug for DecodePage {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("DecodePage")
-            .field("vpn", &self.vpn)
-            .field("asid", &self.asid)
-            .field("user", &self.user)
-            .field("mapped", &self.mapped)
-            .field("tlb_gen", &self.tlb_gen)
-            .field("page_paddr", &self.page_paddr)
-            .field("mem_version", &self.mem_version)
-            .field("lines", &self.lines.iter().flatten().count())
-            .finish()
-    }
-}
-
-/// Decode-cache slot for a virtual page number. Folds the high vpn bits in
-/// so pages that are congruent mod `DCACHE_SLOTS` in different address
-/// windows don't systematically alias: user text at `0x0040_k000` and the
-/// kernel's KSEG0 text at `0x8000_k000` are both multiples of 64 pages
-/// apart, and a plain `vpn % DCACHE_SLOTS` maps every user page onto its
-/// kernel counterpart — each exception delivery then evicts the other's
-/// lines and the cache never hits.
-fn dcache_slot_hash(vpn: u32, mod64: bool) -> usize {
-    if mod64 {
-        // Test-only pathological hash (see `MachineConfig::mod64_slots`):
-        // the plain modulo mapping whose systematic user/KSEG0 aliasing the
-        // XOR fold above exists to prevent.
-        return (vpn as usize) & (DCACHE_SLOTS - 1);
-    }
-    ((vpn ^ (vpn >> 6) ^ (vpn >> 12)) as usize) & (DCACHE_SLOTS - 1)
-}
-
 /// Which engine drives [`Machine::run`].
 ///
 /// Both engines are architecturally identical — same register/CP0/TLB state,
@@ -258,8 +192,8 @@ fn dcache_slot_hash(vpn: u32, mod64: bool) -> usize {
 /// recorded baseline are checked against.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum ExecEngine {
-    /// The reference engine: one full fetch–decode–dispatch round per
-    /// instruction through [`Machine::step`].
+    /// The reference engine: one full translate–fetch–decode–dispatch
+    /// round per instruction through [`Machine::step`], with no cache.
     Interpreter,
     /// The superblock engine (the default): straight-line runs (up to the
     /// next control transfer, delay slot included) are pre-decoded once
@@ -298,33 +232,17 @@ impl fmt::Display for ExecEngine {
 }
 
 /// Per-machine execution configuration, fixed at construction. The
-/// default runs the superblock engine ([`ExecEngine::default`]) with the
-/// decode cache on for its generic-step fallback.
+/// default runs the superblock engine ([`ExecEngine::default`]).
 ///
-/// This replaces the old process-global decode-cache switches (which fleet
-/// worker threads raced): every knob is a plain field, owned by the machine
-/// that was built from it. Code that cannot pass a config down to the
-/// machines it constructs internally (the kernel, app workloads) inherits
-/// the calling thread's scoped default — see [`with_machine_config`].
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+/// The config is a plain value owned by the machine built from it, never a
+/// process global that fleet worker threads could race on. Code that cannot
+/// pass a config down to the machines it constructs internally (the
+/// kernel, app workloads) inherits the calling thread's scoped default —
+/// see [`with_machine_config`].
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct MachineConfig {
     /// Execution engine for [`Machine::run`].
     pub engine: ExecEngine,
-    /// Whether the per-instruction decode cache starts enabled.
-    pub decode_cache: bool,
-    /// Test-only: use the pathological mod-64 decode-cache slot hash (the
-    /// health-plane canary re-introduces the historical aliasing bug with it).
-    pub mod64_slots: bool,
-}
-
-impl Default for MachineConfig {
-    fn default() -> MachineConfig {
-        MachineConfig {
-            engine: ExecEngine::default(),
-            decode_cache: true,
-            mod64_slots: false,
-        }
-    }
 }
 
 impl MachineConfig {
@@ -332,20 +250,6 @@ impl MachineConfig {
     #[must_use]
     pub fn engine(mut self, engine: ExecEngine) -> MachineConfig {
         self.engine = engine;
-        self
-    }
-
-    /// Returns the config with the decode-cache switch replaced.
-    #[must_use]
-    pub fn decode_cache(mut self, on: bool) -> MachineConfig {
-        self.decode_cache = on;
-        self
-    }
-
-    /// Returns the config with the mod-64 slot-hash switch replaced.
-    #[must_use]
-    pub fn mod64_slots(mut self, on: bool) -> MachineConfig {
-        self.mod64_slots = on;
         self
     }
 
@@ -409,9 +313,15 @@ struct SbOp {
     is_store: bool,
 }
 
-/// A cached straight-line run, validated by the same tag set as
-/// [`DecodePage`] (translation identity + text-page write version) but as a
-/// whole: one check at entry covers every op in the block. A stale
+/// A cached straight-line run, tagged by everything that produced its ops:
+///
+/// - the *translation* — start address, processor mode, ASID and the TLB's
+///   [`Tlb::generation`] counter (TLB-mapped text only; KSEG0/1
+///   translations are fixed by the architecture);
+/// - the *text* — physical page and the page's [`Memory::page_version`]
+///   write counter.
+///
+/// One check at entry covers every op in the block. A stale
 /// translation tag alone costs one re-translation of the start address,
 /// after which the block is retagged if it still maps to `page_paddr`
 /// (see `Machine::block_translation_current`). A store inside
@@ -449,9 +359,9 @@ impl fmt::Debug for SuperBlock {
 }
 
 /// Superblock-cache slot of way 0 of the set for a block start address
-/// (way 1 is the next slot). Folds high bits in for the same reason as the
-/// decode cache's slot hash: user text and its KSEG0 kernel counterpart
-/// must not systematically alias.
+/// (way 1 is the next slot). Folds high address bits in so that user text
+/// and its KSEG0 kernel counterpart, which lie a multiple of the set count
+/// apart, do not systematically alias.
 fn sblock_set(pc: u32) -> usize {
     let x = pc >> 2;
     (((x ^ (x >> 8) ^ (x >> 17)) as usize) & (SBLOCK_SETS - 1)) * SBLOCK_WAYS
@@ -488,14 +398,6 @@ pub struct Machine {
     prev_was_branch: bool,
     profiler: Option<Profiler>,
     trace: Option<crate::trace::Trace>,
-    dcache: [Option<Box<DecodePage>>; DCACHE_SLOTS],
-    dcache_enabled: bool,
-    /// Pathological mod-64 decode-cache slot hash (test-only), resolved
-    /// once at construction so the hot path never reads process globals.
-    dcache_mod64: bool,
-    dcache_hits: u64,
-    dcache_misses: u64,
-    dcache_evictions: u64,
     engine: ExecEngine,
     /// Superblock cache, [`SBLOCK_WAYS`] consecutive slots per set (no
     /// slots until the superblock engine is selected).
@@ -536,12 +438,6 @@ impl Machine {
             prev_was_branch: false,
             profiler: None,
             trace: None,
-            dcache: std::array::from_fn(|_| None),
-            dcache_enabled: cfg.decode_cache,
-            dcache_mod64: cfg.mod64_slots,
-            dcache_hits: 0,
-            dcache_misses: 0,
-            dcache_evictions: 0,
             engine: cfg.engine,
             sbcache: match cfg.engine {
                 ExecEngine::Superblock => (0..SBLOCK_SETS * SBLOCK_WAYS).map(|_| None).collect(),
@@ -641,35 +537,13 @@ impl Machine {
         self.profiler.as_mut()
     }
 
-    /// Enables or disables the decoded-instruction cache. Disabling drops
-    /// all cached pages; the architecturally-visible behaviour is identical
-    /// either way (the reference runs in the invalidation tests rely on
-    /// that).
-    pub fn set_decode_cache_enabled(&mut self, on: bool) {
-        if !on {
-            self.dcache.fill(None);
-        }
-        self.dcache_enabled = on;
-    }
-
-    /// Whether the decoded-instruction cache is active (default: yes).
-    pub fn decode_cache_enabled(&self) -> bool {
-        self.dcache_enabled
-    }
-
-    /// Decode-cache (hits, misses) over the machine's lifetime. Host-side
-    /// observability only — never part of architectural state.
+    /// The block cache's (hits, misses): [`Machine::superblock_stats`]
+    /// without the invalidation count. The superblock cache is the
+    /// machine's only decoded-instruction cache; this alias keeps the
+    /// name callers outside the workspace (the host-time benchmark) read.
+    /// Host-side observability only — never part of architectural state.
     pub fn decode_cache_stats(&self) -> (u64, u64) {
-        (self.dcache_hits, self.dcache_misses)
-    }
-
-    /// Decode-cache slot evictions over the machine's lifetime: installs
-    /// that displaced a *different* cached page (slot re-tag churn). A
-    /// healthy slot hash keeps this far below the miss count; systematic
-    /// aliasing (two hot pages congruent in the slot function) drives it to
-    /// ~one eviction per miss. Host-side observability only.
-    pub fn decode_cache_evictions(&self) -> u64 {
-        self.dcache_evictions
+        (self.sb_hits, self.sb_misses)
     }
 
     /// The execution engine driving [`Machine::run`].
@@ -736,9 +610,9 @@ impl Machine {
     /// the machine was built ([`Memory::written_pages`]) are read: every
     /// other page is zero by construction, so capture costs O(pages ever
     /// written), not O(physical memory). Host-side observability —
-    /// profiler, trace hooks, decode/superblock caches and their counters —
-    /// is deliberately excluded: it is not architectural state, and the
-    /// caches are rebuilt on demand after a restore.
+    /// profiler, trace hooks, the block cache and its counters — is
+    /// deliberately excluded: it is not architectural state, and blocks
+    /// are rebuilt on demand after a restore.
     pub fn snapshot(&self) -> crate::snapshot::MachineState {
         let mem_size = self.mem.size();
         let mut pages = Vec::new();
@@ -775,10 +649,9 @@ impl Machine {
     /// Restores architectural state captured by [`Machine::snapshot`].
     ///
     /// The receiver keeps its own host-side configuration (execution
-    /// engine, decode-cache switch, profiler, trace hooks) — a snapshot
-    /// taken under the interpreter restores onto a superblock machine and
-    /// vice versa, and both resume bit-exact. Both instruction caches are
-    /// dropped: their tags reference the *receiver's* pre-restore TLB
+    /// engine, profiler, trace hooks) — a snapshot taken under the
+    /// interpreter restores onto a superblock machine and vice versa, and
+    /// both resume bit-exact. The block cache is emptied: its tags reference the *receiver's* pre-restore TLB
     /// generation and page write-versions, and memory is rewritten below
     /// them. Memory restore zero-fills the receiver's written pages
     /// ([`Memory::written_pages`]; every other page is already zero), then
@@ -832,8 +705,7 @@ impl Machine {
         self.cycles = s.cycles;
         self.instret = s.instret;
         self.exceptions_taken = s.exceptions_taken;
-        // Empty both instruction caches: their tags predate the restore.
-        self.dcache.fill(None);
+        // Empty the block cache: its tags predate the restore.
         self.vacate_superblocks();
         Ok(())
     }
@@ -1223,7 +1095,10 @@ impl Machine {
         Ok(None)
     }
 
-    /// Executes one instruction (or takes one exception).
+    /// Executes one instruction (or takes one exception): translate the PC,
+    /// read the word, decode it, execute it. This is the reference both
+    /// engines share — the interpreter runs every instruction through it,
+    /// the superblock engine every instruction no block can hold.
     ///
     /// Returns `Some(StopReason::HostCall(..))` if the instruction was a
     /// privileged `hcall`.
@@ -1237,63 +1112,30 @@ impl Machine {
             self.raise(ExcCode::AddrErrLoad, pc, Some(pc), in_delay);
             return Ok(None);
         }
-        // Decode-cache probe: skips translate + memory read + decode when
-        // every tag still matches (see `DecodePage`).
-        let mut cached = None;
-        if self.dcache_enabled {
-            let slot = dcache_slot_hash(pc >> 12, self.dcache_mod64);
-            let asid = self.asid();
-            let tlb_gen = self.tlb.generation();
-            if let Some(page) = self.dcache[slot].as_deref() {
-                if page.vpn == pc >> 12
-                    && page.user == user
-                    && (!page.mapped || (page.asid == asid && page.tlb_gen == tlb_gen))
-                    && page.mem_version == self.mem.page_version(page.page_paddr)
-                {
-                    cached = page.lines[((pc >> 2) & 0x3ff) as usize];
-                }
-            }
-        }
-        let inst = match cached {
-            Some((word, inst)) => {
-                self.dcache_hits += 1;
-                if let Some(t) = self.trace.as_mut() {
-                    t.record(pc, word, user);
-                }
-                inst
-            }
-            None => {
-                let paddr = match self.translate(pc, Access::Fetch, user) {
-                    Ok(p) => p,
-                    Err((code, bad)) => {
-                        self.raise(code, pc, Some(bad), in_delay);
-                        return Ok(None);
-                    }
-                };
-                let word = match self.mem.read_u32(paddr) {
-                    Ok(w) => w,
-                    Err(_) => {
-                        self.raise(ExcCode::BusErrFetch, pc, Some(pc), in_delay);
-                        return Ok(None);
-                    }
-                };
-                let inst = match decode(word) {
-                    Ok(i) => i,
-                    Err(_) => {
-                        self.raise(ExcCode::ReservedInstr, pc, None, in_delay);
-                        return Ok(None);
-                    }
-                };
-                if self.dcache_enabled {
-                    self.dcache_misses += 1;
-                    self.dcache_install(pc, user, paddr, word, inst);
-                }
-                if let Some(t) = self.trace.as_mut() {
-                    t.record(pc, word, user);
-                }
-                inst
+        let paddr = match self.translate(pc, Access::Fetch, user) {
+            Ok(p) => p,
+            Err((code, bad)) => {
+                self.raise(code, pc, Some(bad), in_delay);
+                return Ok(None);
             }
         };
+        let word = match self.mem.read_u32(paddr) {
+            Ok(w) => w,
+            Err(_) => {
+                self.raise(ExcCode::BusErrFetch, pc, Some(pc), in_delay);
+                return Ok(None);
+            }
+        };
+        let inst = match decode(word) {
+            Ok(i) => i,
+            Err(_) => {
+                self.raise(ExcCode::ReservedInstr, pc, None, in_delay);
+                return Ok(None);
+            }
+        };
+        if let Some(t) = self.trace.as_mut() {
+            t.record(pc, word, user);
+        }
 
         // Advance sequentially; branches below overwrite next_pc.
         self.cpu.pc = self.cpu.next_pc;
@@ -1326,52 +1168,6 @@ impl Machine {
                 Ok(None)
             }
         }
-    }
-
-    /// Installs a freshly fetched+decoded instruction into the cache. The
-    /// slot is re-tagged when any tag moved; decoded lines survive a pure
-    /// translation-tag change (same physical text) since decode is a pure
-    /// function of the word.
-    fn dcache_install(&mut self, pc: u32, user: bool, paddr: u32, word: u32, inst: Instruction) {
-        let vpn = pc >> 12;
-        let slot = dcache_slot_hash(vpn, self.dcache_mod64);
-        let mapped = !(0x8000_0000..0xc000_0000).contains(&pc);
-        let asid = self.asid();
-        let tlb_gen = self.tlb.generation();
-        let page_paddr = paddr & !0xfff;
-        let mem_version = self.mem.page_version(page_paddr);
-        if self.dcache[slot]
-            .as_deref()
-            .is_some_and(|p| p.vpn != vpn || p.user != user)
-        {
-            // The slot held a different page: its decoded lines are about
-            // to be displaced. Per-page churn like this is exactly what a
-            // slot-aliasing pathology amplifies, so it is counted.
-            self.dcache_evictions += 1;
-        }
-        let page = self.dcache[slot].get_or_insert_with(|| {
-            Box::new(DecodePage {
-                vpn,
-                asid,
-                user,
-                mapped,
-                tlb_gen,
-                page_paddr,
-                mem_version,
-                lines: Box::new([None; DCACHE_WORDS]),
-            })
-        });
-        if page.page_paddr != page_paddr || page.mem_version != mem_version {
-            page.lines.fill(None);
-        }
-        page.vpn = vpn;
-        page.asid = asid;
-        page.user = user;
-        page.mapped = mapped;
-        page.tlb_gen = tlb_gen;
-        page.page_paddr = page_paddr;
-        page.mem_version = mem_version;
-        page.lines[((pc >> 2) & 0x3ff) as usize] = Some((word, inst));
     }
 
     /// Executes a decoded instruction. Everything the ALU, branch and

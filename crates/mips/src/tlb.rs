@@ -153,11 +153,11 @@ pub struct Tlb {
     buckets: [u64; BUCKETS],
     /// Bumped by every mutating operation. Consumers that cache derived
     /// translation state compare this to detect TLB writes, evictions,
-    /// flushes, and protection changes: the decode cache in `machine.rs`,
-    /// and the superblock cache, whose blocks re-translate their start
-    /// address and are retagged when the translation still lands on the
-    /// same physical page. Checkpoints carry it, so a restored run's cache
-    /// tags evolve exactly as the uninterrupted run's.
+    /// flushes, and protection changes: the superblock cache in
+    /// `machine.rs`, whose blocks re-translate their start address and are
+    /// retagged when the translation still lands on the same physical
+    /// page. Checkpoints carry it, so a restored run's cache tags evolve
+    /// exactly as the uninterrupted run's.
     generation: u64,
 }
 

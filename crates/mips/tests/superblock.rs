@@ -6,14 +6,17 @@
 //! and exception behaviour — with particular attention to self-modifying
 //! code, where pre-decoded block contents could go stale: a patch in
 //! straight-line code (including mid-block, by the block's own store), a
-//! patch in a branch delay slot, and a patch of the instruction an
-//! exception handler returns to — and to TLB churn under live blocks,
-//! where a block may be retagged only while its start address still
-//! translates to the page it was decoded from.
+//! store over an already-run subroutine, a host write to text, a patch in
+//! a branch delay slot, and a patch of the instruction an exception
+//! handler returns to — and to TLB churn under live blocks (guest and
+//! host remaps, ASID switches, protection changes), where a block may be
+//! retagged only while its start address still translates to the page it
+//! was decoded from.
 
 use efex_mips::asm::assemble;
 use efex_mips::cp0::status;
 use efex_mips::encode::encode;
+use efex_mips::exception::ExcCode;
 use efex_mips::isa::{Instruction, Reg};
 use efex_mips::machine::{
     kseg_to_phys, ExecEngine, Machine, MachineConfig, StopReason, GENERAL_VECTOR,
@@ -188,6 +191,87 @@ fn patch_in_delay_slot_is_seen_by_next_iteration() {
     assert_same_state(&ms.0, &ms.1, "delay-slot patch");
 }
 
+/// A store overwriting a subroutine that already ran twice (so its block
+/// is cached and hot) must be visible to the next call.
+#[test]
+fn store_over_a_called_subroutine_is_refetched() {
+    let base = 0x8000_1000u32;
+    let target = 0x8000_1040u32;
+    let call = encode(Instruction::Jal {
+        target: target >> 2,
+    });
+    let [lui_t0, ori_t0] = li32(Reg::T0, target);
+    let [lui_t2, ori_t2] = li32(Reg::T2, li(Reg::T3, 42));
+    let prog = [
+        lui_t0,
+        ori_t0,
+        lui_t2,
+        ori_t2,
+        call,
+        Instruction::NOP.into_word(),
+        call, // the second call re-enters the cached block
+        Instruction::NOP.into_word(),
+        encode(Instruction::Addu {
+            rd: Reg::T6,
+            rs: Reg::T3,
+            rt: Reg::ZERO,
+        }), // pre-patch result
+        encode(Instruction::Sw {
+            rt: Reg::T2,
+            base: Reg::T0,
+            imm: 0,
+        }), // overwrite the subroutine's first instruction
+        call,
+        Instruction::NOP.into_word(),
+        encode(Instruction::Addu {
+            rd: Reg::T7,
+            rs: Reg::T3,
+            rt: Reg::ZERO,
+        }), // post-patch result
+        encode(Instruction::Hcall { code: 1 }),
+    ];
+    let sub = [
+        li(Reg::T3, 7),
+        encode(Instruction::Jr { rs: Reg::RA }),
+        Instruction::NOP.into_word(),
+    ];
+    let mut ms = pair();
+    both(&mut ms, |m| {
+        write_words(m, kseg_to_phys(base).unwrap(), &prog);
+        write_words(m, kseg_to_phys(target).unwrap(), &sub);
+        m.set_pc(base);
+        assert_eq!(m.run(1000).unwrap(), StopReason::HostCall(1));
+        assert_eq!(m.cpu().reg(Reg::T6), 7, "the first calls see the old text");
+        assert_eq!(m.cpu().reg(Reg::T7), 42, "the last call sees the new text");
+    });
+    assert_same_state(&ms.0, &ms.1, "store over a called subroutine");
+    let (hits, _, _) = ms.0.superblock_stats();
+    assert!(hits > 0, "the second call must reuse the cached block");
+}
+
+/// Host-side writes through `mem_mut()` (how kernels patch guest text)
+/// must reach the next fetch, exactly like guest stores.
+#[test]
+fn host_write_to_text_is_refetched() {
+    let mut ms = pair();
+    both(&mut ms, |m| {
+        write_words(
+            m,
+            0x1000,
+            &[li(Reg::T3, 7), encode(Instruction::Hcall { code: 1 })],
+        );
+        m.set_pc(0x8000_1000);
+        assert_eq!(m.run(10).unwrap(), StopReason::HostCall(1));
+        assert_eq!(m.cpu().reg(Reg::T3), 7);
+        // Patch the instruction from the host and rerun it.
+        m.mem_mut().write_u32(0x1000, li(Reg::T3, 9)).unwrap();
+        m.set_pc(0x8000_1000);
+        assert_eq!(m.run(10).unwrap(), StopReason::HostCall(1));
+        assert_eq!(m.cpu().reg(Reg::T3), 9, "the host patch must be fetched");
+    });
+    assert_same_state(&ms.0, &ms.1, "host text patch");
+}
+
 /// An exception handler patching the instruction it returns to (the classic
 /// breakpoint-replacement idiom): the faulting block cached the old word,
 /// and the `rfe`-return must fetch the new one.
@@ -323,6 +407,18 @@ fn run_churn(
     tlb: &[(usize, TlbEntry)],
     setup: impl Fn(&mut Machine),
 ) -> Machine {
+    run_churn_with_host(src, entry, tlb, setup, |_| {})
+}
+
+/// [`run_churn`], with `host` applied (as a kernel would) at every
+/// `hcall 2` on the way.
+fn run_churn_with_host(
+    src: &str,
+    entry: u32,
+    tlb: &[(usize, TlbEntry)],
+    setup: impl Fn(&mut Machine),
+    host: impl Fn(&mut Machine),
+) -> Machine {
     let prog = assemble(src).unwrap();
     let mut ms = pair();
     both(&mut ms, |m| {
@@ -332,7 +428,12 @@ fn run_churn(
         }
         setup(m);
         m.set_pc(entry);
-        assert_eq!(m.run(100_000).unwrap(), StopReason::HostCall(1));
+        let mut stop = m.run(100_000).unwrap();
+        while stop == StopReason::HostCall(2) {
+            host(m);
+            stop = m.run(100_000).unwrap();
+        }
+        assert_eq!(stop, StopReason::HostCall(1));
     });
     assert_same_state(&ms.0, &ms.1, "TLB churn");
     assert_eq!(
@@ -343,13 +444,25 @@ fn run_churn(
     ms.0
 }
 
-/// (a) `tlbwi` remaps a text page to a new frame under a live block: the
-/// block's start address now translates elsewhere, so it must be rebuilt
-/// from the new frame rather than retagged.
+/// (a) A text page is remapped to a new frame under a live block — by the
+/// guest's `tlbwi`, or by the kernel writing the TLB from the host (its
+/// shootdown path): the block's start address now translates elsewhere,
+/// so it must be rebuilt from the new frame rather than retagged.
 #[test]
 fn remapped_text_page_is_refetched() {
-    let src = format!(
-        r#"{SUBROUTINES}
+    const GUEST_TLBWI: &str = r#"
+        li    $t0, 0x00400000       # vpn 0x400, asid 0
+        mtc0  $t0, $entryhi
+        li    $t1, 0x5600           # pfn 5 | D | V
+        mtc0  $t1, $entrylo
+        li    $t2, 0x0100           # slot 1
+        mtc0  $t2, $index
+        tlbwi"#;
+    const HOST_WRITE: &str = r#"
+        hcall 2                     # the host maps vpn 0x400 to pfn 5"#;
+    for remap in [GUEST_TLBWI, HOST_WRITE] {
+        let src = format!(
+            r#"{SUBROUTINES}
     .org 0x80001100
         li    $t9, 0x00400000
         jalr  $t9
@@ -357,29 +470,29 @@ fn remapped_text_page_is_refetched() {
         addu  $s0, $v0, $zero
         jalr  $t9
         nop
-        addu  $s1, $v0, $zero
-        li    $t0, 0x00400000       # vpn 0x400, asid 0
-        mtc0  $t0, $entryhi
-        li    $t1, 0x5600           # pfn 5 | D | V
-        mtc0  $t1, $entrylo
-        li    $t2, 0x0100           # slot 1
-        mtc0  $t2, $index
-        tlbwi
+        addu  $s1, $v0, $zero{remap}
         jalr  $t9
         nop
         addu  $s2, $v0, $zero
         hcall 1
 "#
-    );
-    let sb = run_churn(&src, MAIN, &[(1, mapping(0x400, 0, 4))], |_| {});
-    assert_eq!(
-        [Reg::S0, Reg::S1, Reg::S2].map(|r| sb.cpu().reg(r)),
-        [1, 1, 2],
-        "the call after the remap must run the new frame's text"
-    );
-    assert_eq!(sb.cpu().reg(Reg::V1), 40);
-    let (hits, _, _) = sb.superblock_stats();
-    assert!(hits > 0, "the second call must reuse the cached block");
+        );
+        let sb = run_churn_with_host(
+            &src,
+            MAIN,
+            &[(1, mapping(0x400, 0, 4))],
+            |_| {},
+            |m| m.tlb_mut().write(1, mapping(0x400, 0, 5)),
+        );
+        assert_eq!(
+            [Reg::S0, Reg::S1, Reg::S2].map(|r| sb.cpu().reg(r)),
+            [1, 1, 2],
+            "the call after the remap must run the new frame's text:{remap}"
+        );
+        assert_eq!(sb.cpu().reg(Reg::V1), 40);
+        let (hits, _, _) = sb.superblock_stats();
+        assert!(hits > 0, "the second call must reuse the cached block");
+    }
 }
 
 /// (b) An ASID switch maps the same virtual address to different text
@@ -440,7 +553,8 @@ fn asid_switch_selects_each_spaces_text() {
 
 /// (c) `utlbp` protect-all on the text page under a live block: the next
 /// fetch must raise the TLB-invalid fault exactly where the interpreter
-/// does; the handler re-enables the page and retries the fetch.
+/// does; the handler re-enables the page and retries the fetch. The same
+/// holds when user code protects the very page it is executing from.
 #[test]
 fn protect_all_on_text_page_faults_the_next_fetch() {
     let src = format!(
@@ -478,6 +592,28 @@ fn protect_all_on_text_page_faults_the_next_fetch() {
         [1, 1],
         "the retried call runs the same text"
     );
+
+    let own_page = assemble(
+        r#"
+    .org 0x80004000                 # runs mapped at 0x00400000
+        lui   $a0, 0x0040
+        utlbp $a0, pa
+        addiu $t3, $zero, 9         # never runs: its fetch faults
+"#,
+    )
+    .unwrap();
+    let mut ms = pair();
+    both(&mut ms, |m| {
+        m.load_image(&own_page).unwrap();
+        m.tlb_mut().write(1, text);
+        m.cp0_mut().status = status::KUC;
+        m.set_pc(0x0040_0000);
+        m.run(3).unwrap();
+        assert_eq!(m.cp0().exc_code(), Some(ExcCode::TlbLoad));
+        assert_eq!(m.cp0().epc, 0x0040_0008, "the fault is on the fetch");
+        assert_eq!(m.cpu().reg(Reg::T3), 0, "the protected word never runs");
+    });
+    assert_same_state(&ms.0, &ms.1, "user code protecting its own page");
 }
 
 /// Runs a user-mode loop of `trips` iterations that toggles `utlbp`
@@ -603,20 +739,25 @@ proptest! {
     /// zeroed memory, stores over their own text, CP0 writes) execute
     /// bit-identically under both engines — resuming across arbitrary
     /// step-budget boundaries, so blocks get interrupted mid-run and
-    /// re-entered.
+    /// re-entered, with single [`Machine::step`]s (a chunk of 0) mixed in
+    /// between block runs.
     #[test]
     fn engines_stay_in_lockstep_across_budget_boundaries(
         words in proptest::collection::vec(any::<u32>(), 1..128),
-        chunks in proptest::collection::vec(1u64..9, 1..64),
+        chunks in proptest::collection::vec(0u64..9, 1..64),
     ) {
         let mut ms = pair();
         both(&mut ms, |m| {
             write_words(m, 0x1000, &words);
             m.set_pc(0x8000_1000);
         });
-        for (i, chunk) in chunks.iter().enumerate() {
-            let a = ms.0.run(*chunk).unwrap();
-            let b = ms.1.run(*chunk).unwrap();
+        let advance = |m: &mut Machine, chunk: u64| match chunk {
+            0 => m.step().unwrap().unwrap_or(StopReason::StepLimit),
+            n => m.run(n).unwrap(),
+        };
+        for (i, &chunk) in chunks.iter().enumerate() {
+            let a = advance(&mut ms.0, chunk);
+            let b = advance(&mut ms.1, chunk);
             prop_assert_eq!(a, b, "stop reasons diverged at chunk {}", i);
             prop_assert_eq!(ms.0.cpu().pc, ms.1.cpu().pc);
             prop_assert_eq!(ms.0.cycles(), ms.1.cycles());

@@ -413,7 +413,7 @@ impl Pstore {
     }
 
     /// Health-plane snapshot of the host kernel underneath the store
-    /// (decode cache, TLB repairs, degraded deliveries). Pure read.
+    /// (block cache, TLB repairs, degraded deliveries). Pure read.
     pub fn health_snapshot(&self) -> efex_trace::StatsSnapshot {
         self.host.health_snapshot()
     }

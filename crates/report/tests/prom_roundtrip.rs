@@ -11,8 +11,8 @@ use efex_trace::{Histogram, StatsSnapshot};
 
 fn sample_snapshot() -> StatsSnapshot {
     StatsSnapshot::new("kernel-health")
-        .counter("decode_cache_hits", 12_345)
-        .counter("decode_cache_misses", 6)
+        .counter("superblock_hits", 12_345)
+        .counter("superblock_misses", 6)
         .counter("fast-user/write-protect/deliver_p50", 91)
         .counter("quote\"back\\slash", 1)
         .counter("zero", 0)

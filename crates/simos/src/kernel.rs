@@ -104,7 +104,7 @@ pub struct KernelConfig {
     /// exceptions"). Fast-path delivery, when enabled for the exception,
     /// takes precedence — applications that *want* the fault get it.
     pub fixup_unaligned: bool,
-    /// Machine construction config (execution engine + decode cache).
+    /// Machine construction config (execution engine).
     /// `None` inherits the booting thread's scoped default — see
     /// [`efex_mips::machine::with_machine_config`].
     pub machine: Option<MachineConfig>,
@@ -448,23 +448,16 @@ impl Kernel {
     }
 
     /// One flat health-plane snapshot of this kernel: the per-process
-    /// counters plus the machine-level effectiveness numbers (decode-cache
-    /// hits/misses/evictions, TLB writes, simulated cycles) the health
+    /// counters plus the machine-level effectiveness numbers (block-cache
+    /// hits/misses/invalidations, TLB writes, simulated cycles) the health
     /// monitor watches. Pure read — charges no simulated cycles, so a run
     /// with health monitoring on stays bit-identical to one without.
     pub fn health_snapshot(&self) -> efex_trace::StatsSnapshot {
         use efex_trace::Snapshot as _;
-        let (hits, misses) = self.machine.decode_cache_stats();
         let mut snap = self.proc.stats.snapshot();
         snap.component = "kernel-health";
         let (sb_hits, sb_misses, sb_invalidations) = self.machine.superblock_stats();
-        snap.counter("decode_cache_hits", hits)
-            .counter("decode_cache_misses", misses)
-            .counter(
-                "decode_cache_evictions",
-                self.machine.decode_cache_evictions(),
-            )
-            .counter("superblock_hits", sb_hits)
+        snap.counter("superblock_hits", sb_hits)
             .counter("superblock_misses", sb_misses)
             .counter("superblock_invalidations", sb_invalidations)
             .counter("snapshot_saves", self.snapshot_saves)

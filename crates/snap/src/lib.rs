@@ -33,7 +33,7 @@ pub const MAGIC: [u8; 8] = *b"EFEXSNAP";
 
 /// Current wire-format version. Bump on any layout change; readers reject
 /// versions they do not know with [`SnapError::UnsupportedVersion`].
-pub const FORMAT_VERSION: u32 = 2;
+pub const FORMAT_VERSION: u32 = 3;
 
 /// What a snapshot artifact contains. Stored in the header so a restore
 /// entry point can reject a structurally valid snapshot of the wrong kind

@@ -339,7 +339,7 @@ impl Debugger {
     }
 
     /// Health-plane snapshot of the host kernel underneath the debugger
-    /// (decode cache, TLB repairs, degraded deliveries). Pure read.
+    /// (block cache, TLB repairs, degraded deliveries). Pure read.
     pub fn health_snapshot(&self) -> efex_trace::StatsSnapshot {
         self.host.health_snapshot()
     }
