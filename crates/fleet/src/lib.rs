@@ -1094,12 +1094,14 @@ fn delivery_probe(suite: Suite) -> Result<DeliveryProbe, String> {
 
 /// One traced fast-path delivery of `kind` on a fresh guest. The trace and
 /// health planes share this single simulation: the ring buffers the
-/// lifecycle events, and the guest's kernel/machine counters (repairs,
-/// block cache, ring occupancy) become the tenant's `probe_*` health
-/// metrics. The probe single-steps its guest, so both engines would run
-/// the same [`efex_mips::machine::Machine::step`]; it builds from the
-/// default machine config so that its result depends on `kind` alone,
-/// whatever engine the calling tenant's thread inherits.
+/// lifecycle events, and the guest's kernel counters (repairs, snapshots,
+/// cycles, ring occupancy) become the tenant's `probe_*` health metrics.
+/// The probe single-steps its guest, so both engines would run the same
+/// [`efex_mips::machine::Machine::step`]; it builds from the default
+/// machine config so that its result depends on `kind` alone, whatever
+/// engine the calling tenant's thread inherits. Single-stepping never
+/// enters a block, so the kernel's `superblock_*` counters read 0 here by
+/// construction and are not exported.
 fn measure_delivery_probe(kind: ExceptionKind) -> Result<DeliveryProbe, efex_core::CoreError> {
     let ring = Rc::new(RingSink::with_capacity(64));
     let mut sys = System::builder()
@@ -1110,7 +1112,9 @@ fn measure_delivery_probe(kind: ExceptionKind) -> Result<DeliveryProbe, efex_cor
     sys.measure_null_roundtrip(kind)?;
     let mut health = StatsSnapshot::new("tenant-health");
     for (name, value) in sys.health_snapshot().counters {
-        health.counters.push((format!("probe_{name}"), value));
+        if !name.starts_with("superblock_") {
+            health.counters.push((format!("probe_{name}"), value));
+        }
     }
     let health = health
         .counter("probe_ring_buffered", ring.len() as u64)

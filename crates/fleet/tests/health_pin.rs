@@ -45,8 +45,8 @@ fn healthy_fleet_expositions_are_pinned() {
 }
 
 const EVALUATIONS: u64 = 17;
-const PROM: (usize, usize, u64) = (82_922, 1_074, 12_733_909_578_298_456_649);
-const JSONL: (usize, usize, u64) = (117_154, 1_056, 10_582_533_716_939_787_154);
+const PROM: (usize, usize, u64) = (77_528, 1_011, 14_065_412_768_633_098_232);
+const JSONL: (usize, usize, u64) = (109_681, 993, 1_905_476_391_494_817_835);
 
 /// The canary: the same 5-tenant fleet's monitor armed with two more
 /// per-tenant invariants that every healthy tenant violates, over counters

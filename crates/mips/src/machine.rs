@@ -16,6 +16,20 @@
 //!   register* — no mode change, no kernel;
 //! - cycle accounting per the [`crate::cycles`] model and optional
 //!   per-region instruction attribution via [`crate::profile::Profiler`].
+//!
+//! The superblock engine ([`ExecEngine::Superblock`]) pays its bookkeeping
+//! once per block, not once per instruction. On entry a block picks its
+//! loop: with or without the trace/profiler hooks, over the ops that fit
+//! in the step budget. The loop keeps the cycle count and the delay-slot
+//! flag in locals. It writes them and the retired count back at its one
+//! exit, before any fault is raised, so every counter reads what the
+//! interpreter's would. Its loads and stores translate KUSEG addresses
+//! through a small direct-mapped *data-translation cache*, keyed by
+//! (virtual page, ASID) and tagged with [`Tlb::generation`], so a page
+//! costs one TLB lookup until the TLB next changes. A line filled by a
+//! load is not trusted for a store, which re-translates. [`Machine::step`]
+//! executes through the same instruction body with the uncached
+//! [`Machine::translate`], so the interpreter stays the uncached reference.
 
 use std::error::Error;
 use std::fmt;
@@ -201,7 +215,9 @@ pub enum ExecEngine {
     /// tight dispatch loop that re-enters the generic [`Machine::step`]
     /// path only on block exit, exception, TLB miss, or self-modified text.
     /// A TLB change does not discard a block: it is retagged once its start
-    /// address re-translates to the same physical page.
+    /// address re-translates to the same physical page. Loads and stores in
+    /// blocks translate KUSEG pages through a data-translation cache tagged
+    /// with the TLB generation.
     #[default]
     Superblock,
 }
@@ -295,6 +311,36 @@ const SBLOCK_SETS: usize = 256;
 /// whose start address shares the set lives in way 1 instead of evicting
 /// it (the kernel's return path and the user code it resumes, for one).
 const SBLOCK_WAYS: usize = 2;
+/// Lines of the data-translation cache, indexed by the low bits of the
+/// virtual page number.
+const DTLB_LINES: usize = 64;
+
+/// One data-translation cache line: the physical frame of a KUSEG page
+/// under one ASID, exact while the TLB's [`Tlb::generation`] is `tlb_gen`.
+/// Only the superblock engine's loads and stores use it.
+#[derive(Clone, Copy, Debug)]
+struct DtlbLine {
+    /// Virtual page number; [`DtlbLine::EMPTY`]'s `u32::MAX` matches no
+    /// KUSEG page.
+    vpn: u32,
+    asid: u8,
+    /// A store filled the line, so the page was writable at `tlb_gen`. A
+    /// load-filled line serves loads only.
+    writable: bool,
+    tlb_gen: u64,
+    /// Physical address of the page's frame.
+    frame: u32,
+}
+
+impl DtlbLine {
+    const EMPTY: DtlbLine = DtlbLine {
+        vpn: u32::MAX,
+        asid: 0,
+        writable: false,
+        tlb_gen: 0,
+        frame: 0,
+    };
+}
 
 /// One pre-decoded instruction inside a superblock.
 #[derive(Clone, Copy)]
@@ -405,6 +451,8 @@ pub struct Machine {
     sb_hits: u64,
     sb_misses: u64,
     sb_invalidations: u64,
+    /// Data-translation cache of the superblock engine's loads and stores.
+    dtlb: [DtlbLine; DTLB_LINES],
 }
 
 impl Machine {
@@ -446,6 +494,7 @@ impl Machine {
             sb_hits: 0,
             sb_misses: 0,
             sb_invalidations: 0,
+            dtlb: [DtlbLine::EMPTY; DTLB_LINES],
         }
     }
 
@@ -476,7 +525,10 @@ impl Machine {
         &self.tlb
     }
 
-    /// Mutable TLB (host kernel services use this).
+    /// Mutable TLB (host kernel services use this). Every edit moves the
+    /// TLB's generation forward, which the machine's translation caches
+    /// check; restore a checkpointed TLB through [`Machine::restore`], not
+    /// [`Tlb::restore`], which sets the generation back.
     pub fn tlb_mut(&mut self) -> &mut Tlb {
         &mut self.tlb
     }
@@ -653,7 +705,9 @@ impl Machine {
     /// interpreter restores onto a superblock machine and vice versa, and
     /// both resume bit-exact. The block cache is emptied: its tags reference the *receiver's* pre-restore TLB
     /// generation and page write-versions, and memory is rewritten below
-    /// them. Memory restore zero-fills the receiver's written pages
+    /// them. The data-translation cache is emptied as well, since the
+    /// restored generation may be one the receiver already cached under
+    /// other TLB contents. Memory restore zero-fills the receiver's written pages
     /// ([`Memory::written_pages`]; every other page is already zero), then
     /// writes the snapshot's pages, both through the normal write path: every
     /// page whose content may change has its write-version advanced, so any
@@ -707,6 +761,10 @@ impl Machine {
         self.exceptions_taken = s.exceptions_taken;
         // Empty the block cache: its tags predate the restore.
         self.vacate_superblocks();
+        // Empty the data-translation cache too: the TLB's generation was
+        // set back, so a line tagged with a generation this machine reached
+        // before the restore could match a different TLB.
+        self.dtlb = [DtlbLine::EMPTY; DTLB_LINES];
         Ok(())
     }
 
@@ -821,6 +879,50 @@ impl Machine {
         }
     }
 
+    /// [`Machine::translate`] for a data access, through the
+    /// data-translation cache when `CACHED` and `vaddr` is in KUSEG (whose
+    /// translation does not depend on the processor mode). A line serves
+    /// the access when its page, ASID and TLB generation all match and,
+    /// for a store, a store filled it; anything else translates and
+    /// refills the line, and a failed translation leaves it as it was.
+    #[inline(always)]
+    fn translate_data<const CACHED: bool>(
+        &mut self,
+        vaddr: u32,
+        access: Access,
+        user: bool,
+    ) -> Result<u32, (ExcCode, u32)> {
+        if !CACHED || vaddr >= 0x8000_0000 {
+            return self.translate(vaddr, access, user);
+        }
+        let vpn = vaddr >> 12;
+        let line = &self.dtlb[vpn as usize % DTLB_LINES];
+        if line.vpn == vpn
+            && line.tlb_gen == self.tlb.generation()
+            && line.asid == self.asid()
+            && (line.writable || access != Access::Store)
+        {
+            return Ok(line.frame | (vaddr & 0xfff));
+        }
+        self.fill_dtlb(vaddr, access, user)
+    }
+
+    /// Translates a KUSEG data address and caches its frame (see
+    /// [`Machine::translate_data`]).
+    #[inline(never)]
+    fn fill_dtlb(&mut self, vaddr: u32, access: Access, user: bool) -> Result<u32, (ExcCode, u32)> {
+        let paddr = self.translate(vaddr, access, user)?;
+        let vpn = vaddr >> 12;
+        self.dtlb[vpn as usize % DTLB_LINES] = DtlbLine {
+            vpn,
+            asid: self.asid(),
+            writable: access == Access::Store,
+            tlb_gen: self.tlb.generation(),
+            frame: paddr & !0xfff,
+        };
+        Ok(paddr)
+    }
+
     // --- execution -------------------------------------------------------
 
     /// Runs until a host call, or until `max_steps` instructions retire.
@@ -895,8 +997,12 @@ impl Machine {
         let mut block = self.sbcache[slot]
             .take()
             .expect("block probed or just built");
-        let result = self.exec_ops(&block, remaining);
-        if self.mem.page_version(block.page_paddr) != block.mem_version {
+        let end = if self.trace.is_some() || self.profiler.is_some() {
+            self.exec_ops::<true>(&block, remaining)
+        } else {
+            self.exec_ops::<false>(&block, remaining)
+        };
+        if end == BlockEnd::Patched {
             // A store rewrote the block's own text page: the pre-decoded
             // ops are stale, so the block is reinstalled vacant and the
             // next entry refetches the patched words.
@@ -904,7 +1010,10 @@ impl Machine {
             self.sb_invalidations += 1;
         }
         self.sbcache[slot] = Some(block);
-        result
+        Ok(match end {
+            BlockEnd::HostCall(code) => Some(StopReason::HostCall(code)),
+            _ => None,
+        })
     }
 
     /// Whether the block in `slot` starts at `pc` in the current mode and is
@@ -1044,55 +1153,80 @@ impl Machine {
     /// [`Machine::step`] would have done — trace record, sequential PC
     /// advance, cycle/instret accounting, profiler attribution, fault
     /// delivery — minus the per-instruction fetch, tag probe, and decode.
-    fn exec_ops(
-        &mut self,
-        b: &SuperBlock,
-        remaining: &mut u64,
-    ) -> Result<Option<StopReason>, MachineError> {
+    ///
+    /// The bookkeeping is paid once per block. The caller picks `HOOKS`
+    /// (whether a trace or profiler is attached), and only the ops that fit
+    /// in `remaining` run, so no op checks the hooks or the budget. The
+    /// cycle count and the delay-slot flag live in locals; they, the
+    /// retired count and the budget are written back at the loop's one
+    /// exit, before a fault is raised ([`Machine::raise`] adds its entry
+    /// cost to the cycle count).
+    fn exec_ops<const HOOKS: bool>(&mut self, b: &SuperBlock, remaining: &mut u64) -> BlockEnd {
         let user = b.user;
-        for op in &b.ops {
-            if *remaining == 0 {
-                return Ok(None);
-            }
+        let fit = (*remaining).min(b.ops.len() as u64) as usize;
+        let mut cycles = self.cycles;
+        let mut in_delay = self.prev_was_branch;
+        let mut ran: u64 = 0;
+        let mut end = BlockEnd::Ran;
+        for op in &b.ops[..fit] {
+            ran += 1;
             let pc = self.cpu.pc;
-            let in_delay = self.prev_was_branch;
-            if let Some(t) = self.trace.as_mut() {
-                t.record(pc, op.word, user);
+            let op_in_delay = std::mem::replace(&mut in_delay, op.is_ct);
+            if HOOKS {
+                if let Some(t) = self.trace.as_mut() {
+                    t.record(pc, op.word, user);
+                }
             }
             self.cpu.pc = self.cpu.next_pc;
             self.cpu.next_pc = self.cpu.next_pc.wrapping_add(4);
-            self.prev_was_branch = op.is_ct;
-            let cost = op.cost;
-            let outcome = self.execute(op.inst, pc, user);
-            self.cycles += cost;
-            *remaining -= 1;
-            match outcome {
-                Exec::Ok => {
-                    self.instret += 1;
-                    if let Some(p) = self.profiler.as_mut() {
-                        p.record(pc, cost);
-                    }
-                }
-                Exec::HostCall(code) => {
-                    self.instret += 1;
-                    if let Some(p) = self.profiler.as_mut() {
-                        p.record(pc, cost);
-                    }
-                    return Ok(Some(StopReason::HostCall(code)));
-                }
-                Exec::Fault(code, bad) => {
-                    self.raise(code, pc, bad, in_delay);
-                    return Ok(None);
-                }
-            }
-            if op.is_store && self.mem.page_version(b.page_paddr) != b.mem_version {
+            let outcome = self.execute::<true>(op.inst, pc, user);
+            cycles += op.cost;
+            let exit = match outcome {
                 // The store hit this block's own text: the remaining
                 // pre-decoded ops may be stale, so fall back to the generic
                 // path, which refetches the patched words.
-                return Ok(None);
+                Exec::Ok if op.is_store && self.mem.page_version(b.page_paddr) != b.mem_version => {
+                    Some(BlockEnd::Patched)
+                }
+                Exec::Ok => None,
+                Exec::HostCall(code) => Some(BlockEnd::HostCall(code)),
+                Exec::Fault(code, bad) => {
+                    end = BlockEnd::Fault {
+                        code,
+                        pc,
+                        bad,
+                        in_delay: op_in_delay,
+                    };
+                    break;
+                }
+            };
+            if HOOKS {
+                if let Some(p) = self.profiler.as_mut() {
+                    p.record(pc, op.cost);
+                }
+            }
+            if let Some(exit) = exit {
+                end = exit;
+                break;
             }
         }
-        Ok(None)
+        self.cycles = cycles;
+        self.prev_was_branch = in_delay;
+        *remaining -= ran;
+        self.instret += ran;
+        if let BlockEnd::Fault {
+            code,
+            pc,
+            bad,
+            in_delay,
+        } = end
+        {
+            // The faulting op consumed its budget and its cycles but does
+            // not retire.
+            self.instret -= 1;
+            self.raise(code, pc, bad, in_delay);
+        }
+        end
     }
 
     /// Executes one instruction (or takes one exception): translate the PC,
@@ -1143,7 +1277,7 @@ impl Machine {
         self.prev_was_branch = inst.is_control_transfer();
 
         let cost = cycles::charged(inst, user);
-        let outcome = self.execute(inst, pc, user);
+        let outcome = self.execute::<false>(inst, pc, user);
 
         self.cycles += cost;
         match outcome {
@@ -1173,7 +1307,12 @@ impl Machine {
     /// Executes a decoded instruction. Everything the ALU, branch and
     /// load/store arms compute comes from [`sem`]: each opcode has its own
     /// arm so that the `#[inline(always)]` `sem` call folds its inner match.
-    fn execute(&mut self, inst: Instruction, pc: u32, user: bool) -> Exec {
+    ///
+    /// This one body serves both engines: it is inlined into the block
+    /// loop, whose loads and stores use the data-translation cache
+    /// (`CACHED`), and into [`Machine::step`], whose do not.
+    #[inline(always)]
+    fn execute<const CACHED: bool>(&mut self, inst: Instruction, pc: u32, user: bool) -> Exec {
         use Instruction::*;
         let c = &mut self.cpu;
         match inst {
@@ -1250,14 +1389,14 @@ impl Machine {
             Ori { rt, rs, .. } => return c.alu(inst, rt, c.reg(rs), 0),
             Xori { rt, rs, .. } => return c.alu(inst, rt, c.reg(rs), 0),
             Lui { rt, .. } => return c.alu(inst, rt, 0, 0),
-            Lb { .. } => return self.access(inst, user),
-            Lh { .. } => return self.access(inst, user),
-            Lw { .. } => return self.access(inst, user),
-            Lbu { .. } => return self.access(inst, user),
-            Lhu { .. } => return self.access(inst, user),
-            Sb { .. } => return self.access(inst, user),
-            Sh { .. } => return self.access(inst, user),
-            Sw { .. } => return self.access(inst, user),
+            Lb { .. } => return self.access::<CACHED>(inst, user),
+            Lh { .. } => return self.access::<CACHED>(inst, user),
+            Lw { .. } => return self.access::<CACHED>(inst, user),
+            Lbu { .. } => return self.access::<CACHED>(inst, user),
+            Lhu { .. } => return self.access::<CACHED>(inst, user),
+            Sb { .. } => return self.access::<CACHED>(inst, user),
+            Sh { .. } => return self.access::<CACHED>(inst, user),
+            Sw { .. } => return self.access::<CACHED>(inst, user),
             J { target } => c.next_pc = sem::jump_target(pc, target),
             Jal { target } => {
                 c.set_reg(Reg::RA, pc.wrapping_add(8));
@@ -1349,20 +1488,22 @@ impl Machine {
     /// Runs a load or store with the registers, width and extension
     /// [`sem::mem_access`] gives it.
     #[inline(always)]
-    fn access(&mut self, inst: Instruction, user: bool) -> Exec {
+    fn access<const CACHED: bool>(&mut self, inst: Instruction, user: bool) -> Exec {
         match sem::mem_access(inst) {
-            Some(a) if a.store => self.store(a, user),
-            Some(a) => self.load(a, user),
+            Some(a) if a.store => self.store::<CACHED>(a, user),
+            Some(a) => self.load::<CACHED>(a, user),
             None => Exec::Fault(ExcCode::ReservedInstr, None),
         }
     }
 
-    fn load(&mut self, a: sem::MemAccess, user: bool) -> Exec {
+    #[inline(always)]
+    fn load<const CACHED: bool>(&mut self, a: sem::MemAccess, user: bool) -> Exec {
         let vaddr = a.vaddr(self.cpu.reg(a.base));
-        if !vaddr.is_multiple_of(a.width) {
+        // Widths are powers of two: a mask, not a division.
+        if vaddr & (a.width - 1) != 0 {
             return Exec::Fault(ExcCode::AddrErrLoad, Some(vaddr));
         }
-        let paddr = match self.translate(vaddr, Access::Load, user) {
+        let paddr = match self.translate_data::<CACHED>(vaddr, Access::Load, user) {
             Ok(p) => p,
             Err((code, bad)) => return Exec::Fault(code, Some(bad)),
         };
@@ -1380,12 +1521,13 @@ impl Machine {
         }
     }
 
-    fn store(&mut self, a: sem::MemAccess, user: bool) -> Exec {
+    #[inline(always)]
+    fn store<const CACHED: bool>(&mut self, a: sem::MemAccess, user: bool) -> Exec {
         let vaddr = a.vaddr(self.cpu.reg(a.base));
-        if !vaddr.is_multiple_of(a.width) {
+        if vaddr & (a.width - 1) != 0 {
             return Exec::Fault(ExcCode::AddrErrStore, Some(vaddr));
         }
-        let paddr = match self.translate(vaddr, Access::Store, user) {
+        let paddr = match self.translate_data::<CACHED>(vaddr, Access::Store, user) {
             Ok(p) => p,
             Err((code, bad)) => return Exec::Fault(code, Some(bad)),
         };
@@ -1605,6 +1747,24 @@ enum Exec {
     Ok,
     HostCall(u32),
     Fault(ExcCode, Option<u32>),
+}
+
+/// How a superblock run ended.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+enum BlockEnd {
+    /// Every op that fitted in the budget retired.
+    Ran,
+    /// A privileged `hcall` retired.
+    HostCall(u32),
+    /// A store retired over the block's own text page.
+    Patched,
+    /// The op at `pc` faulted; the exception has been raised.
+    Fault {
+        code: ExcCode,
+        pc: u32,
+        bad: Option<u32>,
+        in_delay: bool,
+    },
 }
 
 impl Cpu {

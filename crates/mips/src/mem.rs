@@ -46,11 +46,11 @@ const PAGE_SHIFT: u32 = crate::tlb::PAGE_SIZE.trailing_zeros();
 /// versions — is that of `size` bytes of zero-initialised memory.
 ///
 /// Every write bumps a per-page **version counter** ([`Memory::page_version`]).
-/// Both instruction caches in [`crate::machine::Machine`] — the decode
-/// cache and the superblock cache — tag what they decoded with the version
-/// of the physical page it was fetched from, so any store to text — guest
-/// stores, host `mem_mut()` writes, image loads — invalidates the affected
-/// lines and blocks without explicit hooks. The version is what lets a
+/// The instruction cache of [`crate::machine::Machine`], its superblock
+/// cache, tags each block with the version of the physical page its ops
+/// were fetched from, so any store to text — guest stores, host
+/// `mem_mut()` writes, image loads — invalidates the affected blocks
+/// without explicit hooks. The version is what lets a
 /// superblock outlive a TLB change: once its start address re-translates
 /// to the same page, an unchanged version proves its ops are still exact.
 ///

@@ -156,8 +156,11 @@ pub struct Tlb {
     /// flushes, and protection changes: the superblock cache in
     /// `machine.rs`, whose blocks re-translate their start address and are
     /// retagged when the translation still lands on the same physical
-    /// page. Checkpoints carry it, so a restored run's cache tags evolve
-    /// exactly as the uninterrupted run's.
+    /// page, and the machine's data-translation cache, whose lines serve
+    /// loads and stores only at the generation they were filled at.
+    /// Checkpoints carry it, so a restored run's cache tags evolve
+    /// exactly as the uninterrupted run's; [`Tlb::restore`] can therefore
+    /// set it back, and `Machine::restore` empties both caches.
     generation: u64,
 }
 

@@ -11,13 +11,15 @@
 //! handler returns to — and to TLB churn under live blocks (guest and
 //! host remaps, ASID switches, protection changes), where a block may be
 //! retagged only while its start address still translates to the page it
-//! was decoded from.
+//! was decoded from — and to the block loop's per-block bookkeeping:
+//! faults at any op of a block, mid-block host calls, budgets that end
+//! mid-block, and trace or profiler hooks attached between runs.
 
 use efex_mips::asm::assemble;
 use efex_mips::cp0::status;
 use efex_mips::encode::encode;
 use efex_mips::exception::ExcCode;
-use efex_mips::isa::{Instruction, Reg};
+use efex_mips::isa::{Instruction, Reg, TlbProtOp};
 use efex_mips::machine::{
     kseg_to_phys, ExecEngine, Machine, MachineConfig, StopReason, GENERAL_VECTOR,
 };
@@ -766,5 +768,241 @@ proptest! {
             prop_assert_eq!(ms.0.cpu().regs(), ms.1.cpu().regs());
         }
         assert_same_state(&ms.0, &ms.1, "word-soup final state");
+    }
+}
+
+/// The temporaries the block-loop proptest's ops compute with.
+const TEMPS: [Reg; 8] = [
+    Reg::T0,
+    Reg::T1,
+    Reg::T2,
+    Reg::T3,
+    Reg::T4,
+    Reg::T5,
+    Reg::T6,
+    Reg::T7,
+];
+
+/// One straight-line op for the block-loop proptest, from a kind and its
+/// operand draws. Loads and stores go through `$a0` (a writable,
+/// user-modifiable KUSEG page), `$a1` (a read-only one), `$a2` (an
+/// unmapped one) or a temporary, mostly at aligned offsets, so an op
+/// faults at any index of its block; `add` can overflow; `hcall 2` stops
+/// the run mid-block in kernel mode and faults in user mode; `utlbp` on
+/// `$a0` ends a block and moves the TLB generation.
+fn block_op(
+    (kind, a, b, c, base, off, alu_imm): (u8, usize, usize, usize, usize, i16, i16),
+) -> Instruction {
+    use Instruction::*;
+    let (rd, rs, rt) = (TEMPS[a], TEMPS[b], TEMPS[c]);
+    let base = [Reg::A0, Reg::A0, Reg::A1, Reg::A2, Reg::T0][base];
+    let imm = if off < 64 { off / 4 * 4 } else { off - 64 };
+    match kind {
+        0..=3 => Addu { rd, rs, rt },
+        4 => Add { rd, rs, rt },
+        5 | 6 => Addiu {
+            rt,
+            rs,
+            imm: alu_imm,
+        },
+        7..=9 => Lw { rt, base, imm },
+        10 => Lh { rt, base, imm },
+        11 => Lbu { rt, base, imm },
+        12..=14 => Sw { rt, base, imm },
+        15 => Sh { rt, base, imm },
+        16 => Sb { rt, base, imm },
+        17 => Hcall { code: 2 },
+        18 => Break { code: 0 },
+        19 => Utlbp {
+            rs: Reg::A0,
+            op: TlbProtOp::WriteProtect,
+        },
+        _ => Utlbp {
+            rs: Reg::A0,
+            op: TlbProtOp::WriteEnable,
+        },
+    }
+}
+
+fn arb_block_op() -> impl Strategy<Value = Instruction> {
+    (
+        0u8..21,
+        0usize..8,
+        0usize..8,
+        0usize..8,
+        0usize..5,
+        0i16..80,
+        any::<i16>(),
+    )
+        .prop_map(block_op)
+}
+
+/// What the host does between two runs of the block-loop proptest.
+#[derive(Clone, Copy, Debug)]
+enum HostAction {
+    Nothing,
+    AttachTrace,
+    AttachProfiler,
+    DetachHooks,
+    /// Rewrites the `$a0` page's TLB entry with the dirty bit flipped.
+    ToggleDataWritable,
+    /// Switches between ASID 0 and ASID 1 (which maps `$a0`'s page to
+    /// another frame).
+    SwitchAsid,
+}
+
+fn arb_host_action() -> impl Strategy<Value = HostAction> {
+    use HostAction::*;
+    (0u8..9).prop_map(|k| match k {
+        0..=3 => Nothing,
+        4 => AttachTrace,
+        5 => AttachProfiler,
+        6 => DetachHooks,
+        7 => ToggleDataWritable,
+        _ => SwitchAsid,
+    })
+}
+
+/// Physical frame of the block-loop proptest's text.
+const LOOP_TEXT: u32 = 0x4000;
+
+/// Builds one machine of the block-loop proptest: `ops` in an endless loop
+/// (mapped at `0x0040_0000` for user mode, at `0x8000_4000` in KSEG0 for
+/// kernel mode), both exception vectors skipping the faulting op, the
+/// temporaries seeded from `temps`, and the data pages mapped.
+fn block_loop_machine(m: &mut Machine, ops: &[Instruction], temps: &[u32], user: bool) {
+    let handler = assemble(
+        r#"
+    .org 0x80000000
+        mfc0  $k0, $epc
+        addiu $k0, $k0, 4
+        jr    $k0
+        rfe
+    .org 0x80000080
+        mfc0  $k0, $epc
+        addiu $k0, $k0, 4
+        jr    $k0
+        rfe
+"#,
+    )
+    .unwrap();
+    m.load_image(&handler).unwrap();
+    let mut words: Vec<u32> = ops.iter().map(|&i| encode(i)).collect();
+    // j top (the loop's first op), with a nop in its delay slot.
+    let top = if user { 0x0040_0000u32 } else { 0x8000_4000 };
+    words.push(encode(Instruction::J {
+        target: (top & 0x0fff_ffff) >> 2,
+    }));
+    words.push(Instruction::NOP.into_word());
+    write_words(m, LOOP_TEXT, &words);
+    let text = TlbEntry {
+        dirty: false,
+        global: true,
+        ..mapping(0x400, 0, 4)
+    };
+    let data = TlbEntry {
+        user_modifiable: true,
+        ..mapping(0x500, 0, 7)
+    };
+    let read_only = TlbEntry {
+        dirty: false,
+        ..mapping(0x510, 0, 8)
+    };
+    for (slot, e) in [
+        (1, text),
+        (2, data),
+        (3, read_only),
+        (4, mapping(0x500, 1, 9)),
+    ] {
+        m.tlb_mut().write(slot, e);
+    }
+    for (&r, &v) in TEMPS.iter().zip(temps) {
+        m.cpu_mut().set_reg(r, v);
+    }
+    m.cpu_mut().set_reg(Reg::A0, 0x0050_0000);
+    m.cpu_mut().set_reg(Reg::A1, 0x0051_0000);
+    m.cpu_mut().set_reg(Reg::A2, 0x0052_0000);
+    if user {
+        m.cp0_mut().status = status::KUC;
+    }
+    m.set_pc(top);
+}
+
+fn apply_host_action(m: &mut Machine, action: HostAction) {
+    match action {
+        HostAction::Nothing => {}
+        HostAction::AttachTrace => {
+            m.set_trace(Some(efex_mips::trace::Trace::new(32)));
+        }
+        HostAction::AttachProfiler => {
+            let mut p = efex_mips::profile::Profiler::new();
+            p.add_region("loop-user", 0x0040_0000, 0x0040_1000);
+            p.add_region("loop-kernel", 0x8000_4000, 0x8000_5000);
+            p.add_region("vectors", 0x8000_0000, 0x8000_0100);
+            m.set_profiler(Some(p));
+        }
+        HostAction::DetachHooks => {
+            m.set_trace(None);
+            m.set_profiler(None);
+        }
+        HostAction::ToggleDataWritable => {
+            let slot = m
+                .tlb()
+                .probe(0x0050_0000, m.asid())
+                .expect("both address spaces map the data page");
+            let mut e = m.tlb().read(slot);
+            e.dirty = !e.dirty;
+            m.tlb_mut().write(slot, e);
+        }
+        HostAction::SwitchAsid => m.set_asid(m.asid() ^ 1),
+    }
+}
+
+proptest! {
+    /// Random straight-line blocks of ALU ops, KUSEG loads and stores,
+    /// faults at any op index, mid-block `hcall`s and `utlbp` toggles,
+    /// looped in user or kernel mode, run in budget chunks with host TLB
+    /// edits, ASID switches and trace/profiler attachment between them:
+    /// the superblock engine (per-block bookkeeping, cached data
+    /// translation) matches the interpreter after every chunk on the step
+    /// digest (registers, PCs, CP0 including EPC, TLB, cycles, instret,
+    /// exceptions), and at the end on data memory, trace and profile.
+    #[test]
+    fn block_loop_matches_the_interpreter(
+        ops in proptest::collection::vec(arb_block_op(), 1..24),
+        temps in proptest::collection::vec(any::<u32>(), 8..9),
+        user in any::<bool>(),
+        chunks in proptest::collection::vec((1u64..40, arb_host_action()), 1..48),
+    ) {
+        let mut ms = pair();
+        both(&mut ms, |m| block_loop_machine(m, &ops, &temps, user));
+        for (i, &(chunk, action)) in chunks.iter().enumerate() {
+            both(&mut ms, |m| apply_host_action(m, action));
+            let a = ms.0.run(chunk).unwrap();
+            let b = ms.1.run(chunk).unwrap();
+            prop_assert_eq!(a, b, "stop reasons diverged at chunk {}", i);
+            prop_assert_eq!(
+                ms.0.step_digest(),
+                ms.1.step_digest(),
+                "state diverged at chunk {}", i
+            );
+        }
+        assert_same_state(&ms.0, &ms.1, "block loop final state");
+        for frame in [0x7000u32, 0x8000, 0x9000] {
+            for off in (0..0x100).step_by(4) {
+                prop_assert_eq!(
+                    ms.0.mem().read_u32(frame + off).unwrap(),
+                    ms.1.mem().read_u32(frame + off).unwrap()
+                );
+            }
+        }
+        let trace = |m: &Machine| {
+            m.trace().map(|t| (t.total_recorded(), t.entries().copied().collect::<Vec<_>>()))
+        };
+        prop_assert_eq!(trace(&ms.0), trace(&ms.1));
+        let profile = |m: &Machine| {
+            m.profiler().map(|p| (p.clock(), p.report(), p.spans().to_vec()))
+        };
+        prop_assert_eq!(profile(&ms.0), profile(&ms.1));
     }
 }

@@ -67,15 +67,24 @@ impl KindMetrics {
 }
 
 /// Metrics table indexed by delivery path and fault class.
+///
+/// The table lives on the heap: it is tens of kilobytes, and the kernel,
+/// the system and each host process own one, so an inline table would be
+/// copied through the stack whenever one of them moves.
 #[derive(Clone, Debug)]
 pub struct Metrics {
-    per: [[KindMetrics; FaultClass::ALL.len()]; TracePath::ALL.len()],
+    per: Box<[[KindMetrics; FaultClass::ALL.len()]; TracePath::ALL.len()]>,
 }
 
 impl Default for Metrics {
     fn default() -> Metrics {
+        // Built row by row, so the whole table never sits on the stack.
+        let rows: Vec<_> = TracePath::ALL
+            .iter()
+            .map(|_| std::array::from_fn(|_| KindMetrics::default()))
+            .collect();
         Metrics {
-            per: std::array::from_fn(|_| std::array::from_fn(|_| KindMetrics::default())),
+            per: rows.try_into().expect("one row per path"),
         }
     }
 }
