@@ -18,9 +18,10 @@ gate test cargo test -q
 gate test-workspace cargo test --workspace -q
 # The machine's reference models at depth: the TLB slot index against a
 # linear scan, both engines against the instruction semantics, the
-# superblock engine against the interpreter in lockstep, and its
-# data-translation cache against the interpreter's uncached translation.
-gate mips-models env PROPTEST_CASES=4096 cargo test --release -q -p efex-mips --test tlb_lookup --test conformance --test superblock --test data_translation
+# superblock engine against the interpreter in lockstep, its
+# data-translation cache against the interpreter's uncached translation,
+# and the page-run guest-memory copy against the word-by-word accessors.
+gate mips-models env PROPTEST_CASES=4096 cargo test --release -q -p efex-mips --test tlb_lookup --test conformance --test superblock --test data_translation --test word_copy
 gate lint cargo run --release -p efex-bench --bin lint -- --baseline BENCH_baseline.json
 gate inject cargo run --release -p efex-bench --bin inject -- --all
 gate fleet-determinism cargo run --release -p efex-bench --bin fleet -- --tenants 16 --threads 4 --check-determinism

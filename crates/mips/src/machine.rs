@@ -1671,6 +1671,55 @@ impl Machine {
             .map_err(|_| self.fault(ExcCode::BusErrData, vaddr))
     }
 
+    /// Reads `out.len()` consecutive words from the *virtual* address
+    /// `vaddr` (see [`Machine::peek_u32`]): translated once per page, one
+    /// bounds check per page's run.
+    ///
+    /// # Errors
+    ///
+    /// The exception of the first word a loop of [`Machine::peek_u32`]
+    /// would fail on: misalignment at `vaddr`, the translation fault at
+    /// the first word of the first untranslatable page, or a bus error
+    /// at the first word past physical memory.
+    pub fn peek_words(&self, vaddr: u32, out: &mut [u32], user: bool) -> Result<(), Exception> {
+        if vaddr & 3 != 0 && !out.is_empty() {
+            return Err(self.fault(ExcCode::AddrErrLoad, vaddr));
+        }
+        for (va, run) in page_runs(vaddr, out.len()) {
+            let paddr = self
+                .translate(va, Access::Load, user)
+                .map_err(|(c, v)| self.fault(c, v))?;
+            self.mem
+                .read_words(paddr, &mut out[run])
+                .map_err(|e| self.fault(ExcCode::BusErrData, va + (e.paddr - paddr)))?;
+        }
+        Ok(())
+    }
+
+    /// Writes `words` as consecutive words from the *virtual* address
+    /// `vaddr` (see [`Machine::poke_u32`]): translated once per page, one
+    /// bounds check and one page-version bump per page's run.
+    ///
+    /// # Errors
+    ///
+    /// The exception of the first word a loop of [`Machine::poke_u32`]
+    /// would fail on (see [`Machine::peek_words`]); every word before it
+    /// is written, as that loop would have written it.
+    pub fn poke_words(&mut self, vaddr: u32, words: &[u32], user: bool) -> Result<(), Exception> {
+        if vaddr & 3 != 0 && !words.is_empty() {
+            return Err(self.fault(ExcCode::AddrErrStore, vaddr));
+        }
+        for (va, run) in page_runs(vaddr, words.len()) {
+            let paddr = self
+                .translate(va, Access::Store, user)
+                .map_err(|(c, v)| self.fault(c, v))?;
+            self.mem
+                .write_words(paddr, &words[run])
+                .map_err(|e| self.fault(ExcCode::BusErrData, va + (e.paddr - paddr)))?;
+        }
+        Ok(())
+    }
+
     /// Reads one byte at a virtual address (see [`Machine::peek_u32`]).
     ///
     /// # Errors
@@ -1812,6 +1861,23 @@ fn is_tlb_miss(code: ExcCode, bad_vaddr: Option<u32>, tlb: &Tlb, asid: u8) -> bo
         return false;
     }
     bad_vaddr.is_none_or(|v| tlb.probe(v, asid).is_none())
+}
+
+/// The pieces, one per page, of a run of `len` words from the word-aligned
+/// `vaddr`: each piece's first address and its word indices. One
+/// translation serves a piece (pages are the TLB's and the segments' unit).
+fn page_runs(vaddr: u32, len: usize) -> impl Iterator<Item = (u32, std::ops::Range<usize>)> {
+    let mut start = 0;
+    std::iter::from_fn(move || {
+        (start < len).then(|| {
+            let va = vaddr.wrapping_add(4 * start as u32);
+            let in_page = (crate::tlb::PAGE_SIZE - (va & (crate::tlb::PAGE_SIZE - 1))) / 4;
+            let end = (start + in_page as usize).min(len);
+            let piece = (va, start..end);
+            start = end;
+            piece
+        })
+    })
 }
 
 /// Converts a KSEG0/KSEG1 virtual address to its physical address.

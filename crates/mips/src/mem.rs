@@ -231,6 +231,72 @@ impl Memory {
         Ok(())
     }
 
+    /// Reads `out.len()` consecutive words from `paddr`, as a loop of
+    /// [`Memory::read_u32`] would: one bounds compare for the whole run
+    /// inside the backed prefix.
+    ///
+    /// # Errors
+    ///
+    /// The [`BusError`] of the first word that lies past [`Memory::size`].
+    pub fn read_words(&self, paddr: u32, out: &mut [u32]) -> Result<(), BusError> {
+        let i = paddr as usize;
+        match self.bytes.get(i..i + 4 * out.len()) {
+            Some(b) => {
+                for (w, b) in out.iter_mut().zip(b.chunks_exact(4)) {
+                    *w = u32::from_le_bytes(b.try_into().expect("chunk of 4"));
+                }
+                Ok(())
+            }
+            None => self.read_words_unbacked(paddr, out),
+        }
+    }
+
+    /// [`Memory::read_words`] for a run that is not all backed: word by
+    /// word, so unbacked words read as zero and the first word past
+    /// [`Memory::size`] fails.
+    #[cold]
+    #[inline(never)]
+    fn read_words_unbacked(&self, paddr: u32, out: &mut [u32]) -> Result<(), BusError> {
+        for (k, w) in out.iter_mut().enumerate() {
+            *w = self.read_u32(paddr.wrapping_add(4 * k as u32))?;
+        }
+        Ok(())
+    }
+
+    /// Writes `words` as consecutive words from `paddr`, leaving memory as
+    /// a loop of [`Memory::write_u32`] would: one bounds compare for the
+    /// whole run, and one version bump per page the run touches rather
+    /// than one per word.
+    ///
+    /// # Errors
+    ///
+    /// The [`BusError`] of the first word that lies past [`Memory::size`];
+    /// the words before it are written.
+    pub fn write_words(&mut self, paddr: u32, words: &[u32]) -> Result<(), BusError> {
+        let len = 4 * words.len();
+        match self.span_mut(paddr, len) {
+            Ok(span) => {
+                for (b, w) in span.chunks_exact_mut(4).zip(words) {
+                    b.copy_from_slice(&w.to_le_bytes());
+                }
+                self.bump_range(paddr, len);
+                Ok(())
+            }
+            Err(_) => self.write_words_past_end(paddr, words),
+        }
+    }
+
+    /// [`Memory::write_words`] for a run that ends past [`Memory::size`]:
+    /// word by word up to the first that does not fit.
+    #[cold]
+    #[inline(never)]
+    fn write_words_past_end(&mut self, paddr: u32, words: &[u32]) -> Result<(), BusError> {
+        for (k, &w) in words.iter().enumerate() {
+            self.write_u32(paddr.wrapping_add(4 * k as u32), w)?;
+        }
+        Ok(())
+    }
+
     /// Copies a slice into memory.
     pub fn write_bytes(&mut self, paddr: u32, data: &[u8]) -> Result<(), BusError> {
         self.span_mut(paddr, data.len())?.copy_from_slice(data);

@@ -2,11 +2,12 @@
 //!
 //! `Memory` backs only the prefix of physical memory up to its highest
 //! written page and reads everything past it as zero. This property runs
-//! random reads, writes, zero-fills and clones against a model that holds
-//! all `size` bytes, and requires every value, bus error, page version and
-//! written-page list to match. Sizes include ones that end in a partial
-//! page, and addresses cluster at page boundaries and at the end of memory,
-//! so accesses that straddle the backed end or `size` are common.
+//! random reads, writes, word runs, zero-fills and clones against a model
+//! that holds all `size` bytes, and requires every value, bus error, page
+//! version and written-page list to match. Sizes include ones that end in
+//! a partial page, and addresses cluster at page boundaries and at the end
+//! of memory, so accesses that straddle the backed end or `size` are
+//! common.
 
 use efex_mips::mem::{BusError, Memory};
 use efex_mips::tlb::PAGE_SIZE;
@@ -114,6 +115,10 @@ enum Op {
     /// Address, length and a fill seed.
     WriteBytes(Addr, usize, u8),
     Zero(Addr, usize),
+    /// Address and word count: `read_words`.
+    ReadWords(Addr, usize),
+    /// Address, word count and a fill seed: `write_words`.
+    WriteWords(Addr, usize, u32),
     Clone,
 }
 
@@ -126,6 +131,8 @@ fn arb_op() -> impl Strategy<Value = Op> {
         (arb_addr(), any::<u32>()).prop_map(|(a, v)| Op::Write32(a, v)),
         (arb_addr(), 0..2 * PAGE, any::<u8>()).prop_map(|(a, n, s)| Op::WriteBytes(a, n, s)),
         (arb_addr(), 0..2 * PAGE).prop_map(|(a, n)| Op::Zero(a, n)),
+        (arb_addr(), 0..PAGE / 2).prop_map(|(a, n)| Op::ReadWords(a, n)),
+        (arb_addr(), 0..PAGE / 2, any::<u32>()).prop_map(|(a, n, s)| Op::WriteWords(a, n, s)),
         Just(Op::Clone),
     ]
 }
@@ -183,6 +190,33 @@ proptest! {
                 Op::Zero(a, n) => {
                     let a = at(a);
                     prop_assert_eq!(mem.zero(a, n), model.write(a, &vec![0; n]));
+                }
+                Op::ReadWords(a, n) => {
+                    let a = at(a);
+                    let mut out = vec![0xa5a5_a5a5; n];
+                    let got = mem.read_words(a, &mut out).map(|()| out);
+                    let want = (0..n)
+                        .map(|i| {
+                            let w = model.read(a + 4 * i as u32, 4)?;
+                            Ok(u32::from_le_bytes(w.try_into().unwrap()))
+                        })
+                        .collect::<Result<Vec<_>, _>>();
+                    prop_assert_eq!(got, want, "read_words {} at {:#x}", n, a);
+                }
+                Op::WriteWords(a, n, seed) => {
+                    let a = at(a);
+                    let words: Vec<u32> = (0..n as u32).map(|i| seed.wrapping_add(i)).collect();
+                    let bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+                    // A run that fits is one write: one bump per page. One
+                    // that does not is written word by word up to the end.
+                    let want = if model.span(a, bytes.len()).is_ok() {
+                        model.write(a, &bytes)
+                    } else {
+                        words.iter().enumerate().try_for_each(|(i, w)| {
+                            model.write(a + 4 * i as u32, &w.to_le_bytes())
+                        })
+                    };
+                    prop_assert_eq!(mem.write_words(a, &words), want, "write_words {} at {:#x}", n, a);
                 }
                 Op::Clone => mem = mem.clone(),
             }

@@ -234,6 +234,19 @@ pub struct HostFault {
     pub write: bool,
 }
 
+impl HostFault {
+    /// A bus error: the page is mapped and resident, but its frame lies
+    /// past physical memory, so the address has no memory behind it.
+    fn bus_error(vaddr: u32, write: bool) -> HostFault {
+        HostFault {
+            code: ExcCode::BusErrData,
+            vaddr,
+            kind: FaultKind::NotMapped,
+            write,
+        }
+    }
+}
+
 impl fmt::Display for HostFault {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{} at {:#010x} ({})", self.code, self.vaddr, self.kind)
@@ -773,7 +786,10 @@ impl Kernel {
             });
         }
         let paddr = self.host_access(vaddr, false)?;
-        Ok(self.machine.mem().read_u32(paddr).unwrap_or(0))
+        self.machine
+            .mem()
+            .read_u32(paddr)
+            .map_err(|_| HostFault::bus_error(vaddr, false))
     }
 
     /// Stores a word (see [`Kernel::host_load_u32`]).
@@ -791,8 +807,10 @@ impl Kernel {
             });
         }
         let paddr = self.host_access(vaddr, true)?;
-        let _ = self.machine.mem_mut().write_u32(paddr, value);
-        Ok(())
+        self.machine
+            .mem_mut()
+            .write_u32(paddr, value)
+            .map_err(|_| HostFault::bus_error(vaddr, true))
     }
 
     /// Writes raw bytes into the address space with kernel rights
@@ -914,8 +932,8 @@ impl Kernel {
         self.machine
             .charge_cycles(costs::FAST_PROTECT_SYSCALL + 2 * touched.len() as u64);
         let asid = self.proc.space().asid();
-        for (page, any_protected) in touched {
-            let prot = if any_protected {
+        for page in touched {
+            let prot = if self.proc.subpage.manages(page) {
                 Prot::Read
             } else {
                 Prot::ReadWrite
@@ -1231,13 +1249,12 @@ impl Kernel {
                 self.resume_user_at(epc);
                 Ok(None)
             }
-            Err(kind) => {
+            Err(_) => {
                 let code = if write {
                     ExcCode::TlbStore
                 } else {
                     ExcCode::TlbLoad
                 };
-                let _ = kind;
                 self.deliver_fault(code, Some(bad), Via::Refill)
             }
         }
@@ -2408,6 +2425,27 @@ mod tests {
         // Unaligned.
         let err = k.host_load_u32(0x1000_0002).unwrap_err();
         assert_eq!(err.code, ExcCode::AddrErrLoad);
+    }
+
+    #[test]
+    fn host_access_reports_bus_errors() {
+        let mut k = boot();
+        // A resident page whose frame lies past physical memory.
+        let past_end = (k.machine().mem().size() as u32) >> 12;
+        let pte = crate::vm::Pte {
+            pfn: Some(past_end),
+            prot: Prot::ReadWrite,
+            user_modifiable: false,
+            pinned: false,
+            dirty: false,
+        };
+        k.proc
+            .space_mut()
+            .restore_page(0x1000_0000 / PAGE_SIZE, pte);
+        let bus = |write| HostFault::bus_error(0x1000_0008, write);
+        assert_eq!(k.host_load_u32(0x1000_0008), Err(bus(false)));
+        assert_eq!(k.host_store_u32(0x1000_0008, 7), Err(bus(true)));
+        assert_eq!(bus(true).code, ExcCode::BusErrData);
     }
 
     #[test]

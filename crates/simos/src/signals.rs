@@ -14,7 +14,6 @@
 use std::fmt;
 
 use efex_mips::exception::ExcCode;
-use efex_mips::isa::Reg;
 use efex_mips::machine::Machine;
 
 /// Unix signal numbers (the subset synchronous exceptions map to).
@@ -207,14 +206,15 @@ pub mod sigcontext {
 }
 
 /// Writes the faulting context into guest memory at `sc` (user virtual
-/// address, already mapped and resident). `pc` is the continuation PC
-/// (the faulting instruction, or the branch when `BD` was set).
+/// address, already mapped and resident): the 37 words, in frame order,
+/// as one [`Machine::poke_words`] run. `pc` is the continuation PC (the
+/// faulting instruction, or the branch when `BD` was set).
 ///
 /// # Errors
 ///
-/// Returns the guest exception if the sigcontext page is unmapped — the
-/// classic "signal stack overflow" double fault, which callers turn into
-/// process termination.
+/// Returns the guest exception of the first word that cannot be written
+/// — the classic "signal stack overflow" double fault, which callers turn
+/// into process termination. The words before it are written.
 pub fn write_sigcontext(
     m: &mut Machine,
     sc: u32,
@@ -222,38 +222,31 @@ pub fn write_sigcontext(
     cause: u32,
     badvaddr: u32,
 ) -> Result<(), efex_mips::exception::Exception> {
-    let regs = m.cpu().regs();
-    for (i, r) in regs.iter().enumerate() {
-        m.poke_u32(sc + 4 * i as u32, *r, false)?;
-    }
-    let hi = m.cpu().hi();
-    let lo = m.cpu().lo();
-    m.poke_u32(sc + sigcontext::HI, hi, false)?;
-    m.poke_u32(sc + sigcontext::LO, lo, false)?;
-    m.poke_u32(sc + sigcontext::PC, pc, false)?;
-    m.poke_u32(sc + sigcontext::CAUSE, cause, false)?;
-    m.poke_u32(sc + sigcontext::BADVADDR, badvaddr, false)?;
-    Ok(())
+    let cpu = m.cpu();
+    let mut frame = [0u32; SIGCONTEXT_WORDS as usize];
+    frame[..32].copy_from_slice(&cpu.regs());
+    frame[32..].copy_from_slice(&[cpu.hi(), cpu.lo(), pc, cause, badvaddr]);
+    m.poke_words(sc, &frame, false)
 }
 
-/// Restores machine state from a sigcontext (the `sigreturn` kernel half).
-/// Returns the continuation PC.
+/// Restores machine state from a sigcontext (the `sigreturn` kernel half):
+/// the GPRs, HI, LO and PC are read as one [`Machine::peek_words`] run and
+/// all restored. Returns the continuation PC.
 ///
 /// # Errors
 ///
-/// Returns the guest exception if the sigcontext is unreadable.
+/// Returns the guest exception of the first unreadable word of that run;
+/// no register changes then.
 pub fn read_sigcontext(m: &mut Machine, sc: u32) -> Result<u32, efex_mips::exception::Exception> {
-    let mut regs = [0u32; 32];
-    for (i, slot) in regs.iter_mut().enumerate() {
-        *slot = m.peek_u32(sc + 4 * i as u32, false)?;
-    }
-    let pc = m.peek_u32(sc + sigcontext::PC, false)?;
-    for (i, v) in regs.iter().enumerate() {
-        if let Some(r) = Reg::new(i as u8) {
-            m.cpu_mut().set_reg(r, *v);
-        }
-    }
-    Ok(pc)
+    // Words 0..=34: the GPRs, HI, LO and PC.
+    let mut frame = [0u32; (sigcontext::PC / 4 + 1) as usize];
+    m.peek_words(sc, &mut frame, false)?;
+    let word = |offset: u32| frame[(offset / 4) as usize];
+    let cpu = m.cpu_mut();
+    cpu.set_regs(frame[..32].try_into().expect("32 GPRs"));
+    cpu.set_hi(word(sigcontext::HI));
+    cpu.set_lo(word(sigcontext::LO));
+    Ok(word(sigcontext::PC))
 }
 
 #[cfg(test)]

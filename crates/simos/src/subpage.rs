@@ -18,6 +18,7 @@
 use std::collections::BTreeMap;
 
 use crate::layout::{PAGE_SIZE, SUBPAGES_PER_PAGE, SUBPAGE_SIZE};
+use crate::vm::PageRange;
 
 /// Per-process subpage protection state: for each hardware page under
 /// subpage management, a bitmask of its protected 1 KB subpages.
@@ -57,43 +58,36 @@ impl SubpageState {
     }
 
     /// Protects or unprotects the logical pages in `[vaddr, vaddr+len)`
-    /// (1 KB aligned). Returns, per touched hardware page, whether the page
-    /// still has any protected subpage — the kernel uses this to decide the
-    /// hardware page protection.
+    /// (1 KB aligned), returning the hardware pages the range touches. A
+    /// touched page stays under management (see [`SubpageState::manages`])
+    /// exactly while any of its subpages is protected — the kernel uses
+    /// this to decide the hardware page protection. Pages outside the
+    /// range are not visited.
     ///
     /// # Errors
     ///
     /// Fails if the range is not subpage-aligned.
-    pub fn protect(
-        &mut self,
-        vaddr: u32,
-        len: u32,
-        protected: bool,
-    ) -> Result<Vec<(u32, bool)>, String> {
+    pub fn protect(&mut self, vaddr: u32, len: u32, protected: bool) -> Result<PageRange, String> {
         if !vaddr.is_multiple_of(SUBPAGE_SIZE) || !len.is_multiple_of(SUBPAGE_SIZE) || len == 0 {
             return Err("range must be 1 KB aligned and non-empty".into());
         }
         let first = vaddr / SUBPAGE_SIZE;
-        let count = len / SUBPAGE_SIZE;
-        let mut touched: Vec<(u32, bool)> = Vec::new();
-        for sp in first..first + count {
-            let vpn = sp / SUBPAGES_PER_PAGE;
-            let bit = 1u8 << (sp % SUBPAGES_PER_PAGE);
-            let mask = self.pages.entry(vpn).or_insert(0);
-            if protected {
-                *mask |= bit;
+        let end = first + len / SUBPAGE_SIZE;
+        let vpns = first / SUBPAGES_PER_PAGE..(end - 1) / SUBPAGES_PER_PAGE + 1;
+        for vpn in vpns.clone() {
+            let subpages =
+                (vpn * SUBPAGES_PER_PAGE).max(first)..((vpn + 1) * SUBPAGES_PER_PAGE).min(end);
+            let bits = subpages.fold(0u8, |b, sp| b | 1 << (sp % SUBPAGES_PER_PAGE));
+            let old = self.pages.get(&vpn).copied().unwrap_or(0);
+            let mask = if protected { old | bits } else { old & !bits };
+            // Pages with no protected subpage leave subpage management.
+            if mask == 0 {
+                self.pages.remove(&vpn);
             } else {
-                *mask &= !bit;
-            }
-            let any = *mask != 0;
-            match touched.last_mut() {
-                Some((v, a)) if *v == vpn * PAGE_SIZE => *a = any,
-                _ => touched.push((vpn * PAGE_SIZE, any)),
+                self.pages.insert(vpn, mask);
             }
         }
-        // Pages with no protected subpage leave subpage management entirely.
-        self.pages.retain(|_, m| *m != 0);
-        Ok(touched)
+        Ok(PageRange::new(vpns))
     }
 
     /// Number of hardware pages under subpage management.
@@ -130,9 +124,10 @@ mod tests {
         // 6 KB from the last KB of page 0 through page 1.
         let touched = s.protect(base + 3072, 6 * 1024, true).unwrap();
         assert_eq!(
-            touched,
-            vec![(base, true), (base + 4096, true), (base + 8192, true)]
+            touched.collect::<Vec<_>>(),
+            [base, base + 4096, base + 8192]
         );
+        assert!(s.manages(base) && s.manages(base + 4096) && s.manages(base + 8192));
         assert!(s.is_protected(base + 3072));
         assert!(s.is_protected(base + 4096));
         assert!(s.is_protected(base + 8192));
@@ -145,9 +140,10 @@ mod tests {
         let base = 0x1000_0000;
         s.protect(base, 2048, true).unwrap();
         let touched = s.protect(base, 1024, false).unwrap();
-        assert_eq!(touched, vec![(base, true)], "one subpage still protected");
+        assert_eq!(touched.collect::<Vec<_>>(), [base]);
+        assert!(s.manages(base), "one subpage still protected");
         let touched = s.protect(base + 1024, 1024, false).unwrap();
-        assert_eq!(touched, vec![(base, false)]);
+        assert_eq!(touched.collect::<Vec<_>>(), [base]);
         assert!(!s.manages(base));
         assert_eq!(s.managed_pages(), 0);
     }

@@ -7,6 +7,7 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::ops::Range;
 
 use crate::frames::{FrameAllocator, OutOfFrames, Pfn};
 use crate::layout::PAGE_SIZE;
@@ -134,6 +135,47 @@ impl From<OutOfFrames> for MapError {
     }
 }
 
+/// Consecutive virtual pages touched by a protection change, iterated as
+/// page base addresses, ascending.
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub struct PageRange {
+    vpns: Range<u32>,
+}
+
+impl PageRange {
+    /// The pages `vpns`.
+    pub(crate) fn new(vpns: Range<u32>) -> PageRange {
+        PageRange { vpns }
+    }
+
+    /// The pages of `[vaddr, vaddr+len)`.
+    ///
+    /// # Errors
+    ///
+    /// Fails unless both are page-aligned and `len` is non-zero.
+    fn aligned(vaddr: u32, len: u32) -> Result<PageRange, MapError> {
+        if !vaddr.is_multiple_of(PAGE_SIZE) || !len.is_multiple_of(PAGE_SIZE) || len == 0 {
+            return Err(MapError::Unaligned);
+        }
+        let first = vaddr / PAGE_SIZE;
+        Ok(PageRange::new(first..first + len / PAGE_SIZE))
+    }
+}
+
+impl Iterator for PageRange {
+    type Item = u32;
+
+    fn next(&mut self) -> Option<u32> {
+        self.vpns.next().map(|vpn| vpn * PAGE_SIZE)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.vpns.size_hint()
+    }
+}
+
+impl ExactSizeIterator for PageRange {}
+
 /// One process's page table.
 #[derive(Clone, Debug)]
 pub struct AddressSpace {
@@ -229,58 +271,50 @@ impl AddressSpace {
     }
 
     /// Changes protection on `[vaddr, vaddr+len)` (the kernel half of
-    /// `mprotect`), returning the affected virtual page base addresses so
-    /// the caller can shoot down stale TLB entries.
+    /// `mprotect`), returning the affected pages so the caller can shoot
+    /// down stale TLB entries.
     ///
     /// # Errors
     ///
-    /// Fails on misalignment or if any page is unmapped.
+    /// Fails on misalignment or if any page is unmapped; then no page
+    /// changes.
     pub fn protect_region(
         &mut self,
         vaddr: u32,
         len: u32,
         prot: Prot,
-    ) -> Result<Vec<u32>, MapError> {
-        if !vaddr.is_multiple_of(PAGE_SIZE) || !len.is_multiple_of(PAGE_SIZE) || len == 0 {
-            return Err(MapError::Unaligned);
+    ) -> Result<PageRange, MapError> {
+        let touched = PageRange::aligned(vaddr, len)?;
+        if let Some(vpn) = touched
+            .vpns
+            .clone()
+            .find(|vpn| !self.pages.contains_key(vpn))
+        {
+            return Err(MapError::NotMapped(vpn));
         }
-        let first = vaddr / PAGE_SIZE;
-        let count = len / PAGE_SIZE;
-        for vpn in first..first + count {
-            if !self.pages.contains_key(&vpn) {
-                return Err(MapError::NotMapped(vpn));
-            }
-        }
-        let mut touched = Vec::with_capacity(count as usize);
-        for vpn in first..first + count {
-            let pte = self.pages.get_mut(&vpn).expect("checked above");
+        for (_, pte) in self.pages.range_mut(touched.vpns.clone()) {
             pte.prot = prot;
-            touched.push(vpn * PAGE_SIZE);
         }
         Ok(touched)
     }
 
-    /// Grants or revokes the user-modifiable TLB bit on a range.
+    /// Grants or revokes the user-modifiable TLB bit on a range, returning
+    /// the affected pages.
     ///
     /// # Errors
     ///
-    /// Fails on misalignment or if any page is unmapped.
+    /// Fails on misalignment or if any page is unmapped; the pages before
+    /// the first unmapped one have changed.
     pub fn set_user_modifiable(
         &mut self,
         vaddr: u32,
         len: u32,
         allowed: bool,
-    ) -> Result<Vec<u32>, MapError> {
-        if !vaddr.is_multiple_of(PAGE_SIZE) || !len.is_multiple_of(PAGE_SIZE) || len == 0 {
-            return Err(MapError::Unaligned);
-        }
-        let first = vaddr / PAGE_SIZE;
-        let count = len / PAGE_SIZE;
-        let mut touched = Vec::with_capacity(count as usize);
-        for vpn in first..first + count {
+    ) -> Result<PageRange, MapError> {
+        let touched = PageRange::aligned(vaddr, len)?;
+        for vpn in touched.vpns.clone() {
             let pte = self.pages.get_mut(&vpn).ok_or(MapError::NotMapped(vpn))?;
             pte.user_modifiable = allowed;
-            touched.push(vpn * PAGE_SIZE);
         }
         Ok(touched)
     }
@@ -415,7 +449,7 @@ mod tests {
         a.ensure_resident(0x4000, &mut frames).unwrap();
         assert!(a.classify(0x4000, true).is_ok());
         let touched = a.protect_region(0x4000, PAGE_SIZE, Prot::Read).unwrap();
-        assert_eq!(touched, vec![0x4000]);
+        assert_eq!(touched.collect::<Vec<_>>(), [0x4000]);
         assert!(a.classify(0x4000, false).is_ok());
         assert_eq!(a.classify(0x4000, true), Err(FaultKind::Protection));
         a.protect_region(0x4000, PAGE_SIZE, Prot::None).unwrap();
