@@ -200,8 +200,8 @@ null_ret:
         epc_lo = (comm & 0xffff) + frame + layout::comm::EPC,
         cause_lo = (comm & 0xffff) + frame + layout::comm::CAUSE,
         at_lo = (comm & 0xffff) + frame + layout::comm::AT,
-        a0_lo = (comm & 0xffff) + frame + layout::comm::K0,
-        a1_lo = (comm & 0xffff) + frame + layout::comm::K1,
+        a0_lo = (comm & 0xffff) + frame + layout::comm::A0,
+        a1_lo = (comm & 0xffff) + frame + layout::comm::A1,
     )
 }
 

@@ -632,7 +632,8 @@ fast_handler:
             return Err("uexc_enable never armed the fast path".into());
         }
     }
-    k.inject_evict_comm_page();
+    k.inject_evict_comm_page()
+        .map_err(|e| format!("evict: {e}"))?;
     let out = k.run_user(1_000_000).map_err(|e| format!("run: {e}"))?;
     check("outcome", out, RunOutcome::Exited(55))?;
     check("degraded", k.process().stats.degraded_deliveries, 1)?;

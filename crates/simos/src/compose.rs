@@ -27,6 +27,7 @@ use efex_mips::cycles;
 use efex_mips::decode::decode;
 use efex_mips::exception::ExcCode;
 use efex_mips::isa::{Instruction, Reg};
+use efex_mips::machine::{GENERAL_VECTOR, UTLB_VECTOR};
 use efex_verify::symex::{
     CommModel, DeliveryVariant, Depth, EntryKind, HostModel, Scenario, StandardResume, SymexConfig,
     UareaModel, UareaWord,
@@ -41,12 +42,6 @@ use crate::{costs, layout};
 /// u-area gives the same analysis because the explorer normalizes both
 /// mappings of the page to the same canonical offsets.
 pub const COMM_KSEG0_REPR: u32 = 0x8040_0000;
-
-/// The general exception vector (fixed by the R3000 architecture).
-pub const GENERAL_VECTOR: u32 = 0x8000_0080;
-
-/// The UTLB refill vector (fixed by the R3000 architecture).
-pub const UTLB_VECTOR: u32 = 0x8000_0000;
 
 /// One composed verification case: the engine configuration plus the
 /// scenarios to explore. The caller supplies the matching
@@ -127,8 +122,8 @@ impl BenchKind {
 pub fn slot_owners() -> Vec<(u32, Reg)> {
     vec![
         (layout::comm::AT, Reg::AT),
-        (layout::comm::K0, Reg::A0),
-        (layout::comm::K1, Reg::A1),
+        (layout::comm::A0, Reg::A0),
+        (layout::comm::A1, Reg::A1),
     ]
 }
 

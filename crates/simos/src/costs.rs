@@ -4,7 +4,10 @@
 //! trampoline, user handlers) are *executed* and cost what their
 //! instructions cost. The parts of the conventional Ultrix kernel we model
 //! functionally at host level charge the constants below, expressed in
-//! 25 MHz cycles (1 cycle = 0.04 µs).
+//! 25 MHz cycles (1 cycle = 0.04 µs). No constant stands in for guest
+//! code: a TLB miss the refill handler cannot satisfy is re-raised at the
+//! general vector, so that route pays for the guest phases it executes
+//! plus one machine exception entry.
 //!
 //! ## Calibration anchors (all from the paper)
 //!
@@ -72,15 +75,6 @@ pub const SUBPAGE_EMULATE_BRANCH: u64 = 30;
 /// TLB refill from the page table (the R3000's ~9-instruction UTLB
 /// handler).
 pub const TLB_REFILL: u64 = 12;
-
-/// Equivalent of the guest fast-path phases (decode/compat/save/fpcheck/
-/// tlbcheck) charged when a delivery is completed from the host refill path
-/// — where the guest phases did not actually execute.
-pub const FAST_GUEST_PHASES_EQUIV: u64 = 45;
-
-/// Equivalent of the 17-instruction decode+compat overhead charged when a
-/// standard-path delivery starts from the host refill path.
-pub const ULTRIX_GUEST_PHASES_EQUIV: u64 = 20;
 
 /// Page-in from the simulated disk (dominated by 1994 disk latency;
 /// ~8 ms at 25 MHz would be 200k cycles — we keep the default small so

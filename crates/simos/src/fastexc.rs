@@ -16,7 +16,9 @@
 //!    scratch registers (`$at`, `$a0`, `$a1`) it is about to use into the
 //!    per-exception frame of the pinned communication page, addressed
 //!    through its KSEG0 alias so the handler itself can never take a TLB
-//!    miss;
+//!    miss. This phase is the frame's only writer; a user TLB miss the
+//!    refill handler cannot satisfy is re-raised at the general vector so
+//!    that this phase runs for it too;
 //! 4. **fpcheck** — checks whether floating-point state would need saving;
 //! 5. **tlbcheck** — TLB-type exceptions (protection faults) escape to the
 //!    kernel's C-language routine, which must read page tables

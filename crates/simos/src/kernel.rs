@@ -6,7 +6,8 @@
 //! an `hcall`, control returns here and the host services the request:
 //!
 //! - **UTLB refill** — install a TLB entry from the page table, page in
-//!   from the simulated disk, or route a protection fault into delivery;
+//!   from the simulated disk, or re-raise a fault it cannot satisfy at the
+//!   general vector, where the guest phases route it like any other;
 //! - **standard exception** — system calls and the Ultrix-style signal
 //!   machinery (post → recognize → deliver → trampoline → `sigreturn`);
 //! - **fast TLB exception** — the page-table half of the paper's fast path
@@ -142,8 +143,9 @@ pub enum KernelError {
         /// The exception PC the delivery was servicing.
         epc: u32,
     },
-    /// The pinned communication page was lost mid-delivery and could not
-    /// be restored (out of frames): fast delivery is disabled.
+    /// The pinned communication page was lost mid-delivery and its repair
+    /// failed: the saved frame could not be copied to the fresh frame, or
+    /// the fresh frame could not be pinned.
     CommPageLost {
         /// User virtual address of the (formerly pinned) comm page.
         comm_vaddr: u32,
@@ -251,17 +253,6 @@ impl fmt::Display for HostFault {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{} at {:#010x} ({})", self.code, self.vaddr, self.kind)
     }
-}
-
-/// How a delivery request reached the host.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum Via {
-    /// Through the guest general-vector phases (which already wrote the
-    /// communication frame and charged their own cycles).
-    GeneralVector,
-    /// From the host TLB-refill path (the guest phases did not run; the
-    /// host charges their equivalent and writes the frame itself).
-    Refill,
 }
 
 /// A perturbation of the delivery path, applied at a defined point by the
@@ -1014,17 +1005,22 @@ impl Kernel {
     /// The old frame is deliberately leaked, not freed: a stale KSEG0 alias
     /// may still point at it, and the repair path copies the frame contents
     /// back when it re-establishes residency.
-    pub fn inject_evict_comm_page(&mut self) {
+    ///
+    /// # Errors
+    ///
+    /// [`KernelError::Map`] when the registered comm page is not mapped.
+    pub fn inject_evict_comm_page(&mut self) -> Result<(), KernelError> {
         let comm = self.proc.fast.comm_vaddr;
         if comm == 0 {
-            return;
+            return Ok(());
         }
-        let _ = self.proc.space_mut().set_pinned(comm, PAGE_SIZE, false);
+        self.proc.space_mut().set_pinned(comm, PAGE_SIZE, false)?;
         if let Some(pte) = self.proc.space_mut().pte_mut(comm) {
             pte.pfn = None;
         }
         let asid = self.proc.space().asid();
         self.machine.tlb_mut().invalidate_page(comm, asid);
+        Ok(())
     }
 
     /// Whether the fast path's pinned-comm-page invariant actually holds:
@@ -1054,8 +1050,9 @@ impl Kernel {
     /// (guest-saved state must survive the eviction), re-pins, and
     /// republishes the KSEG0 alias. Returns `false` — with fast delivery
     /// disabled as the specified permanent degradation — if no frame is
-    /// available.
-    fn comm_page_repair(&mut self) -> bool {
+    /// available; fails with [`KernelError::CommPageLost`] if the frame
+    /// copy or the re-pin does.
+    fn comm_page_repair(&mut self) -> Result<bool, KernelError> {
         let comm = self.proc.fast.comm_vaddr;
         let stale = kseg_to_phys(self.proc.fast.comm_kseg0);
         match self
@@ -1068,50 +1065,55 @@ impl Kernel {
                     self.machine.charge_cycles(self.page_in_cost);
                 }
                 let fresh = pfn << 12;
+                let lost = || KernelError::CommPageLost { comm_vaddr: comm };
                 if let Some(src) = stale {
                     if src != fresh {
                         let mut bytes = [0; PAGE_SIZE as usize];
-                        if self.machine.mem().read_into(src, &mut bytes).is_ok() {
-                            let _ = self.machine.mem_mut().write_bytes(fresh, &bytes);
-                        }
+                        let mem = self.machine.mem_mut();
+                        mem.read_into(src, &mut bytes)
+                            .and_then(|()| mem.write_bytes(fresh, &bytes))
+                            .map_err(|_| lost())?;
                     }
                 }
-                let _ = self.proc.space_mut().set_pinned(comm, PAGE_SIZE, true);
+                self.proc
+                    .space_mut()
+                    .set_pinned(comm, PAGE_SIZE, true)
+                    .map_err(|_| lost())?;
                 self.proc.fast.comm_kseg0 = 0x8000_0000 | fresh;
-                self.sync_uarea();
-                true
+                self.sync_uarea()?;
+                Ok(true)
             }
             Err(_) => {
                 self.proc.fast.enabled_mask = 0;
-                self.sync_uarea();
-                false
+                self.sync_uarea()?;
+                Ok(false)
             }
         }
     }
 
     /// Applies queued pre-delivery injections (those that must land before
     /// the kernel inspects fast-path state). Post-delivery ones stay queued.
-    fn apply_pre_injections(&mut self) {
-        let pre: Vec<InjectAction> = self
-            .pending_injections
-            .iter()
-            .copied()
-            .filter(|a| matches!(a, InjectAction::EvictCommPage))
-            .collect();
-        if pre.is_empty() {
-            return;
-        }
+    fn apply_pre_injections(&mut self) -> Result<(), KernelError> {
+        let queued = self.pending_injections.len();
         self.pending_injections
             .retain(|a| !matches!(a, InjectAction::EvictCommPage));
-        for _ in pre {
-            self.inject_evict_comm_page();
+        for _ in self.pending_injections.len()..queued {
+            self.inject_evict_comm_page()?;
         }
+        Ok(())
     }
 
-    /// Applies queued post-save injections — after [`Kernel::write_comm_frame`],
-    /// before the resume into the user handler. This is the window the
-    /// harness perturbs: state is saved, the handler has not yet run.
-    fn apply_post_injections(&mut self) {
+    /// Applies queued post-save injections — after the guest save phase
+    /// wrote the communication frame, before the resume into the user
+    /// handler. This is the window the harness perturbs: state is saved,
+    /// the handler has not yet run.
+    ///
+    /// # Errors
+    ///
+    /// [`KernelError::Delivery`] when a corrupted frame word lies past
+    /// physical memory, and the errors of
+    /// [`Kernel::inject_evict_comm_page`].
+    fn apply_post_injections(&mut self, epc: u32) -> Result<(), KernelError> {
         for action in std::mem::take(&mut self.pending_injections) {
             match action {
                 InjectAction::CorruptCommWord {
@@ -1124,7 +1126,12 @@ impl Kernel {
                         continue;
                     };
                     let addr = phys + code.code() * layout::COMM_FRAME_SIZE + offset;
-                    let _ = self.machine.mem_mut().write_u32(addr, value);
+                    self.machine.mem_mut().write_u32(addr, value).map_err(|e| {
+                        KernelError::Delivery {
+                            reason: format!("injected comm-frame write: {e}"),
+                            epc,
+                        }
+                    })?;
                 }
                 InjectAction::EvictHandlerTlb => {
                     let page = self.proc.fast.handler & !(PAGE_SIZE - 1);
@@ -1134,10 +1141,11 @@ impl Kernel {
                 InjectAction::EvictCommPage => {
                     // Pre-delivery action that slipped through (queued after
                     // the pre pass ran); apply it now so it is not lost.
-                    self.inject_evict_comm_page();
+                    self.inject_evict_comm_page()?;
                 }
             }
         }
+        Ok(())
     }
 
     // --- guest execution ---------------------------------------------------
@@ -1187,8 +1195,8 @@ impl Kernel {
 
     // --- hcall handlers -----------------------------------------------------
 
-    /// UTLB refill: install a translation, service a page fault, or route a
-    /// protection fault into delivery.
+    /// UTLB refill: install a translation, service a page fault, or re-raise
+    /// an unmapped or protection fault at the general vector.
     fn handle_utlb(&mut self) -> Result<Option<RunOutcome>, KernelError> {
         let bad = self.machine.cp0().bad_vaddr;
         let epc = self.machine.cp0().epc;
@@ -1222,7 +1230,7 @@ impl Kernel {
                      repaired via slow refill path"
                 ));
                 self.proc.stats.utlb_repairs += 1;
-                if !self.comm_page_repair() {
+                if !self.comm_page_repair()? {
                     // Out of frames: fast delivery is already disabled;
                     // kill with a diagnostic rather than loop on the miss.
                     self.last_diagnostic = Some(format!(
@@ -1250,12 +1258,18 @@ impl Kernel {
                 Ok(None)
             }
             Err(_) => {
+                // Not mapped, or a protection fault: pop the refill's mode
+                // stack and re-raise at the general vector, so the guest
+                // phases route (and save) it like any other fault.
                 let code = if write {
                     ExcCode::TlbStore
                 } else {
                     ExcCode::TlbLoad
                 };
-                self.deliver_fault(code, Some(bad), Via::Refill)
+                let bd = self.machine.cp0().cause_bd();
+                self.machine.cp0_mut().rfe();
+                self.machine.raise_to_kernel(code, epc, Some(bad), bd);
+                Ok(None)
             }
         }
     }
@@ -1293,7 +1307,7 @@ impl Kernel {
                         | ExcCode::BusErrFetch
                 )
                 .then(|| self.machine.cp0().bad_vaddr);
-                self.deliver_fault(code, bad, Via::GeneralVector)
+                self.deliver_fault(code, bad)
             }
         }
     }
@@ -1305,18 +1319,19 @@ impl Kernel {
     fn handle_fast_tlb(&mut self) -> Result<Option<RunOutcome>, KernelError> {
         let code = self.machine.cp0().exc_code().unwrap_or(ExcCode::TlbMod);
         let bad = self.machine.cp0().bad_vaddr;
-        self.deliver_fault(code, Some(bad), Via::GeneralVector)
+        self.deliver_fault(code, Some(bad))
     }
 
     // --- delivery ------------------------------------------------------------
 
     /// Routes a synchronous exception to the fast user path, the Unix
-    /// signal path, or termination.
+    /// signal path, or termination. Every caller is a guest phase's hcall,
+    /// so on the fast path the guest save phase has already written the
+    /// communication frame; the kernel never writes it.
     fn deliver_fault(
         &mut self,
         code: ExcCode,
         bad: Option<u32>,
-        via: Via,
     ) -> Result<Option<RunOutcome>, KernelError> {
         let epc = self.machine.cp0().epc;
         let bd = self.machine.cp0().cause_bd();
@@ -1327,7 +1342,7 @@ impl Kernel {
             if !(self.proc.fast.enabled_for(code) && self.proc.fast.handler != 0) {
                 break 'fast;
             }
-            self.apply_pre_injections();
+            self.apply_pre_injections()?;
             if !self.fast_path_intact() {
                 // Pinning violation: the comm page the guest save phase just
                 // wrote through (or is about to) is gone. Repair it, count
@@ -1340,7 +1355,7 @@ impl Kernel {
                      falling back to Unix signals",
                     self.proc.fast.comm_vaddr
                 ));
-                if self.comm_page_repair() {
+                if self.comm_page_repair()? {
                     self.proc.stats.comm_page_repairs += 1;
                 }
                 break 'fast;
@@ -1403,17 +1418,11 @@ impl Kernel {
                     }
                 }
             }
-            if via == Via::Refill {
-                // The guest phases did not execute; charge their equivalent
-                // and write the communication frame on their behalf.
-                self.machine.charge_cycles(costs::FAST_GUEST_PHASES_EQUIV);
-            }
             self.trace_emit(EventKind::KernelEntered, path, class, code, badv, epc);
-            self.write_comm_frame(code, epc, bad)?;
             self.trace_emit(EventKind::StateSaved, path, class, code, badv, epc);
-            // State is saved, the handler has not yet run: the injection
-            // window for comm-page corruption and TLB eviction.
-            self.apply_post_injections();
+            // The guest saved the frame, the handler has not yet run: the
+            // injection window for comm-page corruption and TLB eviction.
+            self.apply_post_injections(epc)?;
             self.proc.stats.fast_delivered += 1;
             let handler = self.proc.fast.handler;
             self.resume_user_at(handler);
@@ -1442,9 +1451,6 @@ impl Kernel {
         }
 
         // Unix signal path.
-        if via == Via::Refill {
-            self.machine.charge_cycles(costs::ULTRIX_GUEST_PHASES_EQUIV);
-        }
         let Some(sig) = Signal::from_exc(code) else {
             return Err(KernelError::KernelFault(format!("undeliverable {code}")));
         };
@@ -1537,51 +1543,6 @@ impl Kernel {
             let asid = self.proc.space().asid();
             self.machine.tlb_mut().invalidate_page(page, asid);
         }
-    }
-
-    /// Writes the per-exception communication frame through the comm page's
-    /// KSEG0 alias (used when the guest save phase did not run, and to
-    /// keep the bad-address slot authoritative).
-    ///
-    /// # Errors
-    ///
-    /// [`KernelError::Delivery`] when a frame word lies past physical
-    /// memory. Fast delivery checks the alias first
-    /// ([`Kernel::fast_path_intact`]), so this only fires on a broken
-    /// invariant.
-    fn write_comm_frame(
-        &mut self,
-        code: ExcCode,
-        epc: u32,
-        bad: Option<u32>,
-    ) -> Result<(), KernelError> {
-        let base = self.proc.fast.comm_kseg0;
-        if base == 0 {
-            return Ok(()); // host-level registration without a guest comm page
-        }
-        let Some(phys) = kseg_to_phys(base) else {
-            // A corrupt alias must not alias physical 0 (the UTLB vector).
-            return Ok(());
-        };
-        let frame = phys + code.code() * layout::COMM_FRAME_SIZE;
-        let words = [
-            (layout::comm::EPC, epc),
-            (layout::comm::CAUSE, self.machine.cp0().cause),
-            (layout::comm::BADVADDR, bad.unwrap_or(0)),
-            (layout::comm::AT, self.machine.cpu().reg(Reg::AT)),
-            (layout::comm::K0, self.machine.cpu().reg(Reg::A0)),
-            (layout::comm::K1, self.machine.cpu().reg(Reg::A1)),
-            (layout::comm::ACTIVE, 1),
-        ];
-        let mem = self.machine.mem_mut();
-        for (offset, value) in words {
-            mem.write_u32(frame + offset, value)
-                .map_err(|e| KernelError::Delivery {
-                    reason: format!("comm frame write: {e}"),
-                    epc,
-                })?;
-        }
-        Ok(())
     }
 
     /// Installs a TLB entry for `vaddr` from the page table, round-robin
@@ -1840,12 +1801,12 @@ impl Kernel {
             },
             nr::UEXC_ENABLE => {
                 self.machine.charge_cycles(costs::ULTRIX_SYSCALL_WRAPPER);
-                ret = self.sys_uexc_enable(a0, a1, a2);
+                ret = self.sys_uexc_enable(a0, a1, a2)?;
             }
             nr::UEXC_DISABLE => {
                 self.machine.charge_cycles(costs::ULTRIX_SYSCALL_WRAPPER);
                 self.proc.fast.enabled_mask = 0;
-                self.sync_uarea();
+                self.sync_uarea()?;
             }
             nr::UEXC_PROTECT => match prot_from_arg(a2) {
                 Some(prot) => {
@@ -1896,12 +1857,17 @@ impl Kernel {
     /// The `uexc_enable` kernel half: validate the mask, map and pin the
     /// communication page, record the handler, and publish the state to the
     /// u-area the guest fast path reads.
-    fn sys_uexc_enable(&mut self, mask: u32, handler: u32, comm_vaddr: u32) -> i32 {
+    fn sys_uexc_enable(
+        &mut self,
+        mask: u32,
+        handler: u32,
+        comm_vaddr: u32,
+    ) -> Result<i32, KernelError> {
         if mask & !crate::fastexc::FastExcState::allowed_mask() != 0 {
-            return -errno::EINVAL;
+            return Ok(-errno::EINVAL);
         }
         if !comm_vaddr.is_multiple_of(PAGE_SIZE) || comm_vaddr >= 0x8000_0000 {
-            return -errno::EINVAL;
+            return Ok(-errno::EINVAL);
         }
         if self.proc.space().pte(comm_vaddr).is_none()
             && self
@@ -1910,39 +1876,50 @@ impl Kernel {
                 .map_region(comm_vaddr, PAGE_SIZE, Prot::ReadWrite)
                 .is_err()
         {
-            return -errno::EINVAL;
+            return Ok(-errno::EINVAL);
         }
         let Ok((pfn, _)) = self
             .proc
             .space_mut()
             .ensure_resident(comm_vaddr, &mut self.frames)
         else {
-            return -errno::ENOMEM;
+            return Ok(-errno::ENOMEM);
         };
-        let _ = self
-            .proc
+        self.proc
             .space_mut()
-            .set_pinned(comm_vaddr, PAGE_SIZE, true);
+            .set_pinned(comm_vaddr, PAGE_SIZE, true)?;
         self.proc.fast.enabled_mask = mask;
         self.proc.fast.handler = handler;
         self.proc.fast.comm_vaddr = comm_vaddr;
         self.proc.fast.comm_kseg0 = 0x8000_0000 | (pfn << 12);
-        self.sync_uarea();
-        0
+        self.sync_uarea()?;
+        Ok(0)
     }
 
     /// Publishes the current process's fast-exception state into the fixed
     /// KSEG0 u-area the guest handler reads.
-    pub fn sync_uarea(&mut self) {
+    ///
+    /// # Errors
+    ///
+    /// [`KernelError::KernelFault`] when the u-area lies past physical
+    /// memory.
+    pub fn sync_uarea(&mut self) -> Result<(), KernelError> {
         // UAREA_VADDR is a compile-time KSEG0 constant; translate inline
         // rather than unwrapping.
         let paddr = layout::UAREA_VADDR & 0x1fff_ffff;
         let f = &self.proc.fast;
+        let words = [
+            (layout::uarea::ENABLED_MASK, f.enabled_mask),
+            (layout::uarea::HANDLER, f.handler),
+            (layout::uarea::COMM_KSEG0, f.comm_kseg0),
+            (layout::uarea::FLAGS, 0),
+        ];
         let mem = self.machine.mem_mut();
-        let _ = mem.write_u32(paddr + layout::uarea::ENABLED_MASK, f.enabled_mask);
-        let _ = mem.write_u32(paddr + layout::uarea::HANDLER, f.handler);
-        let _ = mem.write_u32(paddr + layout::uarea::COMM_KSEG0, f.comm_kseg0);
-        let _ = mem.write_u32(paddr + layout::uarea::FLAGS, 0);
+        for (offset, value) in words {
+            mem.write_u32(paddr + offset, value)
+                .map_err(|e| KernelError::KernelFault(format!("u-area write: {e}")))?;
+        }
+        Ok(())
     }
 }
 
@@ -2277,26 +2254,6 @@ mod tests {
     }
 
     #[test]
-    fn comm_frame_write_past_physical_memory_is_a_typed_error() {
-        let mut k = boot();
-        let end = k.machine.mem().size() as u32;
-        k.proc.fast.comm_kseg0 = 0x8000_0000 | end;
-        let err = k
-            .write_comm_frame(ExcCode::Breakpoint, 0x0040_0010, None)
-            .unwrap_err();
-        assert!(
-            matches!(
-                err,
-                KernelError::Delivery {
-                    epc: 0x0040_0010,
-                    ..
-                }
-            ),
-            "{err}"
-        );
-    }
-
-    #[test]
     fn evicted_comm_page_degrades_to_unix_path_not_wedge() {
         // Pinning violation before a fast delivery: the kernel must detect
         // the lie, repair the page, count the degradation, and deliver via
@@ -2359,7 +2316,7 @@ mod tests {
             steps += 1;
             assert!(steps < 10_000, "uexc_enable never armed");
         }
-        k.inject_evict_comm_page();
+        k.inject_evict_comm_page().expect("comm page mapped");
         let out = k.run_user(1_000_000).unwrap();
         assert_eq!(out, RunOutcome::Exited(55), "recovered bit-exact");
         assert_eq!(k.process().stats.degraded_deliveries, 1);

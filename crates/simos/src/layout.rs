@@ -73,12 +73,13 @@ pub mod comm {
     pub const BADVADDR: u32 = 0x08;
     /// Saved `$at`.
     pub const AT: u32 = 0x0c;
-    /// Saved `$k0`.
-    pub const K0: u32 = 0x10;
-    /// Saved `$k1`.
-    pub const K1: u32 = 0x14;
-    /// In-progress flag (set by kernel on delivery; a nested exception of
-    /// the same type overwrites the frame, as the paper notes).
+    /// Saved `$a0`.
+    pub const A0: u32 = 0x10;
+    /// Saved `$a1`.
+    pub const A1: u32 = 0x14;
+    /// In-progress flag (set by the guest save phase on delivery; a nested
+    /// exception of the same type overwrites the frame, as the paper
+    /// notes).
     pub const ACTIVE: u32 = 0x18;
 }
 

@@ -28,6 +28,7 @@
 //!   both embedded images at boot.
 
 #![warn(missing_docs)]
+#![deny(clippy::let_underscore_must_use)]
 
 pub mod compose;
 pub mod costs;

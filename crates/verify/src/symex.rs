@@ -23,8 +23,9 @@
 //! - **control flow** folds branches whose conditions are known (via
 //!   [`efex_mips::sem`]), forks on the rest, resolves `jal`/`jr` through a
 //!   shadow call stack, and treats host calls as cost intervals with their
-//!   architecturally specified side effects (UTLB refill and retry, comm
-//!   frame writeback, signal-trampoline setup, `sigreturn`).
+//!   architecturally specified side effects (UTLB refill and retry or
+//!   re-raise, signal-trampoline setup, `sigreturn`). No host call writes
+//!   the comm frame: the guest save phase is its only writer.
 //!
 //! Along every path the explorer checks the paper's protocol invariants —
 //! save/restore comm-slot pairing, no read of an undefined comm word,
@@ -404,7 +405,8 @@ pub struct CommModel {
 /// and standard-path continuation metadata.
 #[derive(Clone, Debug)]
 pub struct HostModel {
-    /// Cycles for a UTLB refill that installs a mapping and retries.
+    /// Cycles for the host's UTLB refill work, whether it installs a
+    /// mapping or re-raises the fault.
     pub refill_cycles: u64,
     /// `[lo, hi]` cycles for the fast TLB-exception host work (`hcall 2`).
     pub fast_tlb: (u64, u64),
@@ -473,8 +475,9 @@ pub struct SymexConfig {
 pub enum DeliveryVariant {
     /// The mapping is present: the fault vectors directly.
     Direct,
-    /// The TLB entry was evicted: UTLB refill first, then the retried
-    /// access raises the real fault.
+    /// The TLB entry was evicted: UTLB refill first, then the real fault —
+    /// raised by the retried access (TLB modification) or re-raised by the
+    /// host when the refill cannot map the page (TLB load or store).
     Refill,
 }
 
@@ -1250,8 +1253,12 @@ impl<'a> Engine<'a> {
     /// Models the three host calls of the delivery protocol.
     fn host_call(&mut self, p: &mut Path, pc: u32, code: u32) -> Step {
         match code {
-            // UTLB refill: install the mapping, retry, re-raise the real
-            // fault through the general vector.
+            // UTLB refill, then the real fault through the general vector.
+            // A TLB-modification fault means the refill installed a
+            // read-only mapping and the retried access (`fault_cost`)
+            // raised it. A TLB load or store fault means the refill could
+            // not map the page: the host re-raises it without a retry.
+            // Either way the machine pays one exception entry.
             0 => {
                 p.refills += 1;
                 if p.refills > self.config.max_refills {
@@ -1267,7 +1274,12 @@ impl<'a> Engine<'a> {
                     return Step::Terminal(Terminal::Cut);
                 }
                 let refill = self.config.host.refill_cycles;
-                let reraise = self.scenario.fault_cost + self.config.exception_entry_cycles;
+                let retry = if p.cur_class == ExcCode::TlbMod {
+                    self.scenario.fault_cost
+                } else {
+                    0
+                };
+                let reraise = retry + self.config.exception_entry_cycles;
                 p.charge(refill + reraise, refill + reraise);
                 // Fresh exception: CP0 state is live again.
                 p.saved_epc = false;
@@ -1324,47 +1336,12 @@ impl<'a> Engine<'a> {
                 p.pc = resume.trampoline_entry;
                 Step::Continue
             }
-            // Fast TLB exception: host page-table work, comm-frame
-            // writeback, resume in the registered handler.
+            // Fast TLB exception: host page-table work, then resume in the
+            // registered handler. The guest save phase wrote the comm frame
+            // before this call; the host does not write it.
             2 => {
                 let (lo, hi) = self.config.host.fast_tlb;
                 p.charge(lo, hi);
-                let frame = p.cur_class.code() * self.config.comm.frame_size;
-                let epc = p
-                    .cp0
-                    .get(&(Cp0Reg::Epc as u8))
-                    .copied()
-                    .unwrap_or(SymVal::Top);
-                let cause_v = p
-                    .cp0
-                    .get(&(Cp0Reg::Cause as u8))
-                    .copied()
-                    .unwrap_or(SymVal::Top);
-                let badv = p
-                    .cp0
-                    .get(&(Cp0Reg::BadVaddr as u8))
-                    .copied()
-                    .unwrap_or(SymVal::Top);
-                // write_comm_frame: EPC, Cause, BadVaddr, then the *current*
-                // $at/$a0/$a1 into the protocol slots, then ACTIVE.
-                let writes: [(u32, SymVal); 7] = [
-                    (0x0, epc),
-                    (0x4, cause_v),
-                    (0x8, badv),
-                    (0xc, p.reg(Reg::AT)),
-                    (0x10, p.reg(Reg::A0)),
-                    (0x14, p.reg(Reg::A1)),
-                    (0x18, SymVal::known(1)),
-                ];
-                for (off, v) in writes {
-                    p.mem.comm.insert(frame + off, v);
-                }
-                for &(_, r) in &self.config.comm.slot_owners {
-                    p.saved_regs.insert(r);
-                }
-                p.saved_epc = true;
-                p.saved_cause = true;
-                p.saved_badvaddr = true;
                 match (self.scenario.depth, self.config.handler) {
                     (Depth::Deep, Some(h)) => {
                         p.mode_user = true;
