@@ -20,8 +20,9 @@ gate test-workspace cargo test --workspace -q
 # linear scan, both engines against the instruction semantics, the
 # superblock engine against the interpreter in lockstep, its
 # data-translation cache against the interpreter's uncached translation,
-# and the page-run guest-memory copy against the word-by-word accessors.
-gate mips-models env PROPTEST_CASES=4096 cargo test --release -q -p efex-mips --test tlb_lookup --test conformance --test superblock --test data_translation --test word_copy
+# the page-run guest-memory copy against the word-by-word accessors, and
+# both engines' exception entry and return against sem::exception_entry.
+gate mips-models env PROPTEST_CASES=4096 cargo test --release -q -p efex-mips --test tlb_lookup --test conformance --test superblock --test data_translation --test word_copy --test exception_entry
 gate lint cargo run --release -p efex-bench --bin lint -- --baseline BENCH_baseline.json
 gate inject cargo run --release -p efex-bench --bin inject -- --all
 gate fleet-determinism cargo run --release -p efex-bench --bin fleet -- --tenants 16 --threads 4 --check-determinism

@@ -8,7 +8,9 @@
 //!   handler address; the hardware *exchanges* PC and UXT on a user-vectored
 //!   exception, exactly as in the Tera machine (Section 2.1).
 //! - **UXC** (user exception condition): loaded by hardware with the cause
-//!   and bad address of a user-vectored exception.
+//!   code and BD bit of a user-vectored exception, laid out as in `Cause`
+//!   so that user handlers share the kernel's decode (the bad address goes
+//!   to BadVAddr, as on a kernel entry).
 //! - **UXM** (user exception mask): which synchronous exceptions are
 //!   delivered directly to user mode.
 //! - A *user-exception-active* flag in the status word, so that recursive
@@ -106,7 +108,7 @@ pub mod cause {
 }
 
 /// The system coprocessor.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, PartialEq, Eq, Debug, Default)]
 pub struct Cp0 {
     /// TLB index register (`tlbwi`/`tlbp` target slot).
     pub index: u32,
@@ -189,38 +191,6 @@ impl Cp0 {
         self.status & status::KUC != 0
     }
 
-    /// Whether hardware user-level exception vectoring is enabled and not
-    /// already active.
-    pub fn user_vectoring_available(&self) -> bool {
-        self.status & status::UXE != 0 && self.status & status::UXA == 0
-    }
-
-    /// Whether the user exception mask enables direct delivery of `code`.
-    pub fn user_mask_allows(&self, code: ExcCode) -> bool {
-        self.uxm & (1 << code.code()) != 0
-    }
-
-    /// Hardware exception entry: pushes the mode/interrupt stack (entering
-    /// kernel mode with interrupts disabled), records the cause, EPC and
-    /// bad address.
-    pub fn enter_exception(&mut self, code: ExcCode, epc: u32, bad_vaddr: Option<u32>, bd: bool) {
-        let stack = self.status & status::KU_IE_STACK;
-        self.status = (self.status & !status::KU_IE_STACK) | ((stack << 2) & status::KU_IE_STACK);
-        self.cause = (code.code() & cause::EXC_MASK) << cause::EXC_SHIFT;
-        if bd {
-            self.cause |= cause::BD;
-        }
-        self.epc = epc;
-        if let Some(v) = bad_vaddr {
-            self.bad_vaddr = v;
-            // EntryHi.VPN latches the faulting page on TLB exceptions; doing
-            // it unconditionally is harmless and simplifies the kernel.
-            self.entry_hi = (v & 0xffff_f000) | (self.entry_hi & 0xfff);
-            self.context = (self.context & 0xffe0_0000) | ((v >> 10) & 0x001f_fffc);
-        }
-        self.random = self.random.wrapping_add(7) % 56;
-    }
-
     /// `rfe`: pops the mode/interrupt stack.
     pub fn rfe(&mut self) {
         let stack = self.status & status::KU_IE_STACK;
@@ -236,92 +206,11 @@ impl Cp0 {
     pub fn cause_bd(&self) -> bool {
         self.cause & cause::BD != 0
     }
-
-    /// Builds the UXC (user exception condition) value delivered on
-    /// hardware user-level vectoring: cause code in the low bits, delay-slot
-    /// flag in bit 31 — mirroring `Cause` so user handlers can share decode
-    /// logic with the kernel.
-    pub fn make_uxc(code: ExcCode, bd: bool) -> u32 {
-        let mut v = (code.code() & cause::EXC_MASK) << cause::EXC_SHIFT;
-        if bd {
-            v |= cause::BD;
-        }
-        v
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn exception_entry_pushes_mode_stack() {
-        let mut cp0 = Cp0::new();
-        cp0.status = status::KUC | status::IEC; // user mode, interrupts on
-        cp0.enter_exception(ExcCode::Breakpoint, 0x1000, None, false);
-        assert!(!cp0.user_mode(), "exception entry must enter kernel mode");
-        assert_eq!(cp0.status & status::KUP, status::KUP);
-        assert_eq!(cp0.status & status::IEP, status::IEP);
-        assert_eq!(cp0.epc, 0x1000);
-        assert_eq!(cp0.exc_code(), Some(ExcCode::Breakpoint));
-    }
-
-    #[test]
-    fn rfe_pops_mode_stack() {
-        let mut cp0 = Cp0::new();
-        cp0.status = status::KUC | status::IEC;
-        cp0.enter_exception(ExcCode::Syscall, 0x2000, None, false);
-        cp0.rfe();
-        assert!(cp0.user_mode());
-        assert_eq!(cp0.status & status::IEC, status::IEC);
-    }
-
-    #[test]
-    fn double_exception_preserves_old_mode() {
-        let mut cp0 = Cp0::new();
-        cp0.status = status::KUC | status::IEC;
-        cp0.enter_exception(ExcCode::Syscall, 0x2000, None, false);
-        cp0.enter_exception(ExcCode::TlbLoad, 0x3000, Some(0x4000), false);
-        // Two pops restore the original user mode.
-        cp0.rfe();
-        cp0.rfe();
-        assert!(cp0.user_mode());
-    }
-
-    #[test]
-    fn bad_vaddr_latches_entry_hi_vpn() {
-        let mut cp0 = Cp0::new();
-        cp0.entry_hi = 0x0000_00c0; // some ASID
-        cp0.enter_exception(ExcCode::TlbStore, 0x1000, Some(0x1234_5678), false);
-        assert_eq!(cp0.bad_vaddr, 0x1234_5678);
-        assert_eq!(cp0.entry_hi & 0xffff_f000, 0x1234_5000);
-        assert_eq!(cp0.entry_hi & 0xfff, 0x0c0, "ASID must be preserved");
-    }
-
-    #[test]
-    fn bd_flag_recorded_in_cause() {
-        let mut cp0 = Cp0::new();
-        cp0.enter_exception(ExcCode::AddrErrLoad, 0x1000, Some(2), true);
-        assert!(cp0.cause_bd());
-    }
-
-    #[test]
-    fn user_mask_gating() {
-        let mut cp0 = Cp0::new();
-        cp0.uxm = 1 << ExcCode::Breakpoint.code();
-        assert!(cp0.user_mask_allows(ExcCode::Breakpoint));
-        assert!(!cp0.user_mask_allows(ExcCode::Overflow));
-    }
-
-    #[test]
-    fn user_vectoring_needs_uxe_and_not_uxa() {
-        let mut cp0 = Cp0::new();
-        assert!(!cp0.user_vectoring_available());
-        cp0.status |= status::UXE;
-        assert!(cp0.user_vectoring_available());
-        cp0.status |= status::UXA;
-        assert!(!cp0.user_vectoring_available());
-    }
 
     #[test]
     fn read_write_round_trip() {

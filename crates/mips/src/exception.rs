@@ -78,6 +78,14 @@ impl ExcCode {
     pub fn is_tlb(self) -> bool {
         matches!(self, ExcCode::TlbMod | ExcCode::TlbLoad | ExcCode::TlbStore)
     }
+
+    /// Whether the exception carries a bad virtual address, which exception
+    /// entry latches into `BadVAddr`: the TLB faults, the address errors
+    /// and the bus errors.
+    pub fn has_bad_vaddr(self) -> bool {
+        use ExcCode::*;
+        self.is_tlb() || matches!(self, AddrErrLoad | AddrErrStore | BusErrFetch | BusErrData)
+    }
 }
 
 impl fmt::Display for ExcCode {
@@ -107,12 +115,13 @@ impl fmt::Display for ExcCode {
 pub struct Exception {
     /// Why the exception was raised.
     pub code: ExcCode,
-    /// The bad virtual address, for address and TLB errors.
+    /// The bad virtual address: `Some` exactly when
+    /// [`ExcCode::has_bad_vaddr`] holds.
     pub bad_vaddr: Option<u32>,
     /// Whether the faulting instruction sits in a branch delay slot.
     pub in_delay_slot: bool,
-    /// Address of the faulting instruction (the branch, if in a delay slot,
-    /// is recorded separately by the machine when it builds EPC).
+    /// Address of the faulting instruction (EPC names the branch instead
+    /// when it sits in a delay slot: [`crate::sem::exception_entry`]).
     pub pc: u32,
 }
 
@@ -147,6 +156,11 @@ mod tests {
         assert!(ExcCode::Breakpoint.is_synchronous());
         assert!(ExcCode::TlbMod.is_tlb());
         assert!(!ExcCode::Overflow.is_tlb());
+        assert!(ExcCode::TlbMod.has_bad_vaddr());
+        assert!(ExcCode::AddrErrStore.has_bad_vaddr());
+        assert!(ExcCode::BusErrData.has_bad_vaddr());
+        assert!(!ExcCode::Breakpoint.has_bad_vaddr());
+        assert!(!ExcCode::Overflow.has_bad_vaddr());
     }
 
     #[test]

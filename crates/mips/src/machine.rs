@@ -187,15 +187,6 @@ impl Access {
     }
 }
 
-/// How an exception was (or would be) delivered.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum Vectored {
-    /// Entered kernel mode at the given vector.
-    Kernel(u32),
-    /// Delivered directly to the user handler via the UXT exchange.
-    User(u32),
-}
-
 /// Which engine drives [`Machine::run`].
 ///
 /// Both engines are architecturally identical — same register/CP0/TLB state,
@@ -1564,73 +1555,48 @@ impl Machine {
         Exec::Ok
     }
 
-    /// Raises an exception from the instruction at `pc`.
-    ///
-    /// If the paper's hardware user-level vectoring applies — user mode,
-    /// vectoring enabled, not already in a user handler, the cause is
-    /// synchronous, maskable, and not a TLB *miss* (refills always belong to
-    /// the kernel) — the exception is delivered by exchanging PC with UXT.
-    /// Otherwise CP0 performs the standard kernel entry.
-    pub fn raise(
+    /// Raises an exception from the instruction at `pc` (in the delay slot
+    /// of the branch before it when `in_delay`): applies
+    /// [`sem::exception_entry`], which decides the route (the paper's
+    /// user-level vectoring, the UTLB vector or the general vector) and
+    /// everything the entry latches and charges. The machine supplies the
+    /// one fact the specification cannot compute: whether a TLB load or
+    /// store fault is a refill, i.e. no TLB entry matches the bad address.
+    pub fn raise(&mut self, code: ExcCode, pc: u32, bad_vaddr: Option<u32>, in_delay: bool) {
+        let tlb_refill = matches!(code, ExcCode::TlbLoad | ExcCode::TlbStore)
+            && bad_vaddr.is_some_and(|v| self.tlb.probe(v, self.asid()).is_none());
+        self.enter(code, pc, bad_vaddr, in_delay, tlb_refill, true);
+    }
+
+    /// [`Machine::raise`] with the user and UTLB routes ruled out: the entry
+    /// always takes the general vector. Host kernel services use it to
+    /// re-raise a trap they will not complete themselves (a user TLB miss
+    /// the refill handler cannot satisfy).
+    pub fn raise_to_kernel(&mut self, code: ExcCode, pc: u32, bad: Option<u32>, in_delay: bool) {
+        self.enter(code, pc, bad, in_delay, false, false);
+    }
+
+    /// Applies the [`sem::exception_entry`] of an exception.
+    fn enter(
         &mut self,
         code: ExcCode,
         pc: u32,
         bad_vaddr: Option<u32>,
-        in_delay: bool,
-    ) -> Vectored {
+        in_delay_slot: bool,
+        tlb_refill: bool,
+        user_vectoring: bool,
+    ) {
+        let exc = Exception {
+            code,
+            bad_vaddr,
+            in_delay_slot,
+            pc,
+        };
+        let entry = sem::exception_entry(&mut self.cp0, exc, tlb_refill, user_vectoring);
         self.exceptions_taken += 1;
-        // EPC semantics: point at the branch when faulting in a delay slot.
-        let epc = if in_delay { pc.wrapping_sub(4) } else { pc };
-
-        let user_deliverable = self.cp0.user_mode()
-            && self.cp0.user_vectoring_available()
-            && code.is_synchronous()
-            && code != ExcCode::Syscall
-            && self.cp0.user_mask_allows(code)
-            && !is_tlb_miss(code, bad_vaddr, &self.tlb, self.asid());
-
-        if user_deliverable {
-            self.cycles += cycles::USER_VECTOR_ENTRY;
-            let handler = self.cp0.uxt;
-            self.cp0.uxt = epc;
-            self.cp0.uxc = Cp0::make_uxc(code, in_delay);
-            if let Some(v) = bad_vaddr {
-                self.cp0.bad_vaddr = v;
-            }
-            self.cp0.status |= status::UXA;
-            self.cpu.pc = handler;
-            self.cpu.next_pc = handler.wrapping_add(4);
-            self.prev_was_branch = false;
-            Vectored::User(handler)
-        } else {
-            self.cycles += cycles::EXCEPTION_ENTRY;
-            let was_user = self.cp0.user_mode();
-            self.cp0.enter_exception(code, epc, bad_vaddr, in_delay);
-            let vector = if was_user
-                && matches!(code, ExcCode::TlbLoad | ExcCode::TlbStore)
-                && bad_vaddr
-                    .is_some_and(|v| v < 0x8000_0000 && self.tlb.probe(v, self.asid()).is_none())
-            {
-                UTLB_VECTOR
-            } else {
-                GENERAL_VECTOR
-            };
-            self.cpu.pc = vector;
-            self.cpu.next_pc = vector.wrapping_add(4);
-            self.prev_was_branch = false;
-            Vectored::Kernel(vector)
-        }
-    }
-
-    /// Exception reentry point used by host kernel services that emulate a
-    /// trap on behalf of guest code (e.g. the subpage engine): behaves like
-    /// [`Machine::raise`] but never user-vectors.
-    pub fn raise_to_kernel(&mut self, code: ExcCode, epc: u32, bad_vaddr: Option<u32>, bd: bool) {
-        self.exceptions_taken += 1;
-        self.cycles += cycles::EXCEPTION_ENTRY;
-        self.cp0.enter_exception(code, epc, bad_vaddr, bd);
-        self.cpu.pc = GENERAL_VECTOR;
-        self.cpu.next_pc = GENERAL_VECTOR.wrapping_add(4);
+        self.cycles += entry.cycles;
+        self.cpu.pc = entry.pc;
+        self.cpu.next_pc = entry.pc.wrapping_add(4);
         self.prev_was_branch = false;
     }
 
@@ -1854,13 +1820,6 @@ fn tlb_fault_code(f: TlbFault, access: Access) -> ExcCode {
         TlbFault::Modification => ExcCode::TlbMod,
         _ => access.tlb_err(),
     }
-}
-
-fn is_tlb_miss(code: ExcCode, bad_vaddr: Option<u32>, tlb: &Tlb, asid: u8) -> bool {
-    if !matches!(code, ExcCode::TlbLoad | ExcCode::TlbStore) {
-        return false;
-    }
-    bad_vaddr.is_none_or(|v| tlb.probe(v, asid).is_none())
 }
 
 /// The pieces, one per page, of a run of `len` words from the word-aligned

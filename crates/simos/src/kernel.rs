@@ -1195,24 +1195,20 @@ impl Kernel {
 
     // --- hcall handlers -----------------------------------------------------
 
-    /// UTLB refill: install a translation, service a page fault, or re-raise
-    /// an unmapped or protection fault at the general vector.
+    /// UTLB refill: install a translation (servicing a page fault first if
+    /// need be) and retry, or re-raise an unmapped or protection fault at
+    /// the general vector.
     fn handle_utlb(&mut self) -> Result<Option<RunOutcome>, KernelError> {
         let bad = self.machine.cp0().bad_vaddr;
         let epc = self.machine.cp0().epc;
         let code = self.machine.cp0().exc_code().unwrap_or(ExcCode::TlbLoad);
-        let write = code == ExcCode::TlbStore;
         self.machine.charge_cycles(costs::TLB_REFILL);
 
         match self.proc.space().classify(bad, false) {
-            // Readable (possibly write-protected): install and retry; a
-            // store to a write-protected page will then raise TlbMod at the
-            // general vector, as on real hardware.
-            Ok(_) => {
-                self.install_refill_entry(bad);
-                self.resume_user_at(epc);
-                Ok(None)
-            }
+            // Readable (possibly write-protected): a store to a
+            // write-protected page will raise TlbMod at the general vector
+            // on the retry, as on real hardware.
+            Ok(_) => {}
             Err(FaultKind::NotResident)
                 if bad & !(PAGE_SIZE - 1) == self.proc.fast.comm_vaddr
                     && self.proc.fast.comm_kseg0 != 0
@@ -1240,9 +1236,6 @@ impl Kernel {
                 }
                 self.proc.stats.comm_page_repairs += 1;
                 self.proc.stats.page_faults += 1;
-                self.install_refill_entry(bad);
-                self.resume_user_at(epc);
-                Ok(None)
             }
             Err(FaultKind::NotResident) => {
                 self.machine.charge_cycles(self.page_in_cost);
@@ -1253,25 +1246,21 @@ impl Kernel {
                 self.proc.stats.page_faults += 1;
                 self.metrics
                     .record_page_fault(self.trace_path, FaultClass::PageFault, bad);
-                self.install_refill_entry(bad);
-                self.resume_user_at(epc);
-                Ok(None)
             }
             Err(_) => {
                 // Not mapped, or a protection fault: pop the refill's mode
                 // stack and re-raise at the general vector, so the guest
                 // phases route (and save) it like any other fault.
-                let code = if write {
-                    ExcCode::TlbStore
-                } else {
-                    ExcCode::TlbLoad
-                };
                 let bd = self.machine.cp0().cause_bd();
+                let pc = if bd { epc.wrapping_add(4) } else { epc };
                 self.machine.cp0_mut().rfe();
-                self.machine.raise_to_kernel(code, epc, Some(bad), bd);
-                Ok(None)
+                self.machine.raise_to_kernel(code, pc, Some(bad), bd);
+                return Ok(None);
             }
         }
+        self.install_refill_entry(bad);
+        self.resume_user_at(epc);
+        Ok(None)
     }
 
     /// Standard path: system calls and Ultrix-style signal delivery.
@@ -1296,17 +1285,7 @@ impl Kernel {
                 Ok(None)
             }
             _ => {
-                let bad = matches!(
-                    code,
-                    ExcCode::TlbMod
-                        | ExcCode::TlbLoad
-                        | ExcCode::TlbStore
-                        | ExcCode::AddrErrLoad
-                        | ExcCode::AddrErrStore
-                        | ExcCode::BusErrData
-                        | ExcCode::BusErrFetch
-                )
-                .then(|| self.machine.cp0().bad_vaddr);
+                let bad = code.has_bad_vaddr().then(|| self.machine.cp0().bad_vaddr);
                 self.deliver_fault(code, bad)
             }
         }
@@ -1374,8 +1353,9 @@ impl Kernel {
                             // Unprotected logical subpage: emulate and resume;
                             // the program never sees the fault.
                             self.trace_emit(EventKind::KernelEntered, path, class, code, badv, epc);
-                            match self.emulate_subpage_access(bad, epc, bd) {
-                                Ok(()) => {}
+                            self.machine.charge_cycles(costs::SUBPAGE_EMULATE);
+                            match self.emulate_faulting_access(bad, epc, bd) {
+                                Ok(()) => self.proc.stats.subpage_emulations += 1,
                                 Err(e @ KernelError::Delivery { .. }) => {
                                     // Unemulatable shape (e.g. unpredictable
                                     // link-register use): degrade to signal
@@ -1442,7 +1422,11 @@ impl Kernel {
         // Ultrix-compatible unaligned fixup (before the signal machinery).
         if self.fixup_unaligned && matches!(code, ExcCode::AddrErrLoad | ExcCode::AddrErrStore) {
             if let Some(bad) = bad {
-                if bad < 0x8000_0000 && self.fixup_unaligned_access(bad, epc, bd).is_ok() {
+                if bad < 0x8000_0000 && self.emulate_faulting_access(bad, epc, bd).is_ok() {
+                    // The fixup costs a full kernel entry plus the emulation
+                    // work: still cheaper than a signal, but far from free.
+                    self.machine
+                        .charge_cycles(costs::SUBPAGE_EMULATE + costs::SUBPAGE_EMULATE / 2);
                     self.metrics.record_page_fault(path, class, bad);
                     self.trace_emit(EventKind::Resumed, path, class, code, badv, epc);
                     return Ok(None);
@@ -1504,8 +1488,11 @@ impl Kernel {
             }
             self.install_refill_entry(page);
         }
-        let cause = self.machine.cp0().cause;
-        if signals::write_sigcontext(&mut self.machine, sc, epc, cause, badv).is_err() {
+        // Cause and BadVAddr as they stand, as the fast path's save phase
+        // copies them: a `break` leaves the last fault's address there.
+        let cp0 = self.machine.cp0();
+        let (cause, bad_vaddr) = (cp0.cause, cp0.bad_vaddr);
+        if signals::write_sigcontext(&mut self.machine, sc, epc, cause, bad_vaddr).is_err() {
             return Ok(Some(RunOutcome::Terminated(Signal::Segv)));
         }
         self.trace_emit(EventKind::StateSaved, path, class, code, badv, epc);
@@ -1556,52 +1543,22 @@ impl Kernel {
         }
     }
 
-    /// Emulates an unaligned load/store byte-by-byte with kernel rights,
-    /// then resumes past it (the Ultrix fixup path). Uses the same
-    /// branch-delay-slot machinery as the subpage engine.
+    // --- delay-slot emulation ------------------------------------------------
+
+    /// Emulates the faulting load or store at EPC with kernel rights, and
+    /// the branch before it when it sits in a delay slot (`bd`), then
+    /// resumes the program past it. The one emulator behind the subpage
+    /// engine (Section 3.2.4) and the Ultrix unaligned fixup; each caller
+    /// adds its own charges and counters around it.
     ///
     /// # Errors
     ///
-    /// Fails if the faulting instruction cannot be fetched/decoded, if the
-    /// access is not a load/store, or if the target pages are unmapped —
-    /// callers then fall through to normal signal delivery.
-    fn fixup_unaligned_access(&mut self, bad: u32, epc: u32, bd: bool) -> Result<(), KernelError> {
-        let access_pc = if bd { epc.wrapping_add(4) } else { epc };
-        let word = self
-            .machine
-            .peek_u32(access_pc, false)
-            .map_err(|e| KernelError::KernelFault(e.to_string()))?;
-        let inst = decode(word).map_err(|e| KernelError::KernelFault(e.to_string()))?;
-
-        // Resolve where execution continues BEFORE emulating the access: a
-        // fixed-up load may write the very register the branch reads (e.g.
-        // `jr $t1` with `lw $t1, ...` in its delay slot), and the branch
-        // architecturally consumed the old value when it executed.
-        let next = if bd {
-            self.machine.charge_cycles(costs::SUBPAGE_EMULATE_BRANCH);
-            self.emulated_branch_target(epc)?
-        } else {
-            epc.wrapping_add(4)
-        };
-
-        // Byte-wise access through the page table (may straddle a page).
-        self.emulate_access(inst, bad)?;
-        // The fixup costs a full kernel entry plus the emulation work; the
-        // paper's point is that this is still cheaper than a signal but far
-        // from free.
-        self.machine
-            .charge_cycles(costs::SUBPAGE_EMULATE + costs::SUBPAGE_EMULATE / 2);
-        self.resume_user_at(next);
-        Ok(())
-    }
-
-    // --- subpage emulation ----------------------------------------------------
-
-    /// Emulates a faulting access in an unprotected logical subpage
-    /// (Section 3.2.4), including the branch when the access sits in a
-    /// branch delay slot, then resumes the program past it.
-    fn emulate_subpage_access(&mut self, bad: u32, epc: u32, bd: bool) -> Result<(), KernelError> {
-        self.machine.charge_cycles(costs::SUBPAGE_EMULATE);
+    /// Fails before any register or memory changes if the instruction or
+    /// its branch cannot be fetched or decoded, or the branch is an
+    /// unpredictable shape ([`KernelError::Delivery`]); fails after the
+    /// branch is resolved if the access is not a load or store or its pages
+    /// are unmapped. The program is then not resumed.
+    fn emulate_faulting_access(&mut self, bad: u32, epc: u32, bd: bool) -> Result<(), KernelError> {
         let access_pc = if bd { epc.wrapping_add(4) } else { epc };
         let word = self
             .machine
@@ -1622,8 +1579,8 @@ impl Kernel {
             epc.wrapping_add(4)
         };
 
+        // Byte-wise access through the page table (may straddle a page).
         self.emulate_access(inst, bad)?;
-        self.proc.stats.subpage_emulations += 1;
 
         // Continue past the access: sequentially, or at the branch target
         // resolved above when the access sat in a delay slot (the paper

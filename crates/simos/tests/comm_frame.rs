@@ -9,11 +9,14 @@
 //! route that rewrites the frame from the host after the guest phases ran
 //! (write-protect and subpage faults reach the host through `hcall 2`,
 //! after `fexc_tlbcheck` set `$a0` to 1) shows up as a wrong `$a0` slot.
+//! The last case checks the Unix path's sigcontext against the frame's
+//! BadVAddr for the same breakpoint.
 
 use efex_mips::asm::Program;
 use efex_mips::exception::ExcCode;
 use efex_simos::kernel::{Kernel, KernelConfig, RunOutcome};
 use efex_simos::layout;
+use efex_simos::signals::sigcontext;
 
 const AT: u32 = 0x7a7a;
 const A0: u32 = 0x1234;
@@ -197,4 +200,54 @@ fn breakpoint_frame_holds_the_interrupted_registers() {
         setup: "",
         fault: "break 0",
     });
+}
+
+/// The Unix path's encoding of the same breakpoint: the sigcontext saves
+/// BadVAddr as CP0 holds it, so the handler reads the page the fast
+/// frame's BadVAddr slot reports in the case above, not 0.
+#[test]
+fn breakpoint_sigcontext_holds_the_bad_vaddr_the_frame_holds() {
+    let source = r#"
+.org 0x00400000
+main:
+    la   $a1, handler
+    li   $a0, 5               # SIGTRAP
+    li   $v0, 4               # sigaction
+    syscall
+    li   $a0, 4096
+    li   $v0, 13              # sbrk
+    syscall
+    move $s1, $v0
+    la   $t0, page
+    sw   $s1, 0($t0)
+    sw   $zero, 0($s1)        # the last address fault before the break
+    break 0
+    li   $a0, 0
+    li   $v0, 2               # exit
+    syscall
+    nop
+
+handler:
+    lw   $t1, @BADVADDR@($a2)
+    la   $t0, out
+    sw   $t1, 0($t0)
+    lw   $t4, @PC@($a2)
+    addiu $t4, $t4, 4         # skip the break
+    sw   $t4, @PC@($a2)
+    jr   $ra
+    nop
+
+page: .word 0
+out:  .word 0
+"#
+    .replace("@BADVADDR@", &sigcontext::BADVADDR.to_string())
+    .replace("@PC@", &sigcontext::PC.to_string());
+    let mut k = Kernel::boot(KernelConfig::default()).expect("boot");
+    let prog = k.load_user_program(&source).expect("assemble");
+    let sp = k.setup_stack(4).expect("stack");
+    k.exec(prog.entry(), sp);
+    assert_eq!(k.run_user(1_000_000).expect("run"), RunOutcome::Exited(0));
+    assert_eq!(k.process().stats.signals_delivered, 1);
+    let page = word(&mut k, &prog, "page", 0);
+    assert_eq!(word(&mut k, &prog, "out", 0), page, "sigcontext BadVAddr");
 }
