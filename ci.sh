@@ -23,6 +23,10 @@ gate test-workspace cargo test --workspace -q
 # the page-run guest-memory copy against the word-by-word accessors, and
 # both engines' exception entry and return against sem::exception_entry.
 gate mips-models env PROPTEST_CASES=4096 cargo test --release -q -p efex-mips --test tlb_lookup --test conformance --test superblock --test data_translation --test word_copy --test exception_entry
+# Every system call under hostile arguments, in a debug build so that
+# integer overflow panics: the kernel answers with a result or a typed
+# error, never unwinds, and never maps a KSEG0 page.
+gate simos-syscalls env PROPTEST_CASES=256 cargo test -q -p efex-simos --test syscall_args
 gate lint cargo run --release -p efex-bench --bin lint -- --baseline BENCH_baseline.json
 gate inject cargo run --release -p efex-bench --bin inject -- --all
 gate fleet-determinism cargo run --release -p efex-bench --bin fleet -- --tenants 16 --threads 4 --check-determinism

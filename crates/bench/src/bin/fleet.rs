@@ -35,7 +35,6 @@
 //! `hostbench/README.md`.
 
 use efex_fleet::{run_fleet, run_fleet_kill_shard, run_fleet_migrate, FleetConfig, FleetReport};
-use efex_mips::cycles::CLOCK_MHZ;
 use efex_mips::machine::ExecEngine;
 use std::process::ExitCode;
 
@@ -254,7 +253,7 @@ fn main() -> ExitCode {
     print_summary(&report);
 
     if let Some(path) = &chrome_path {
-        if let Err(e) = std::fs::write(path, report.chrome_trace(CLOCK_MHZ)) {
+        if let Err(e) = std::fs::write(path, report.chrome_trace()) {
             return fail(&format!("fleet: writing {path}: {e}"));
         }
         println!("fleet: wrote per-tenant Chrome trace to {path}");

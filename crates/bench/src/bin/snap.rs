@@ -158,8 +158,8 @@ fn check_tenants() -> Result<bool, String> {
             seed: 0x5eed_0000 + i as u64,
             machine: MachineConfig::default(),
         };
-        let whole =
-            efex_fleet::run_tenant_legged(spec, 2, false, false).map_err(|e| e.to_string())?;
+        let whole = resume_tenant(&TenantCheckpoint::initial(spec, 2), false, false)
+            .map_err(|e| e.to_string())?;
         let mut ckpt = TenantCheckpoint::initial(spec, 2);
         advance_tenant(&mut ckpt, 1).map_err(|e| e.to_string())?;
         let bytes = ckpt.to_bytes();

@@ -15,6 +15,7 @@ pub mod symgate;
 use efex_analysis::{gc as gc_model, swizzle};
 use efex_core::{DeliveryPath, ExceptionKind, System};
 use efex_gc::{workloads as gc_workloads, BarrierKind, Gc, GcConfig};
+use efex_mips::cycles::CLOCK_MHZ;
 use efex_pstore::{workloads as ps_workloads, Policy, PstoreConfig, StableGraph, Strategy};
 
 /// One row of Table 1: conventional OS delivery costs.
@@ -279,7 +280,7 @@ pub fn figure3_curves() -> (Vec<Fig3Point>, Vec<Fig3Point>) {
         (1..=20)
             .map(|c| Fig3Point {
                 check_cycles: c as f64,
-                breakeven_uses: swizzle::breakeven_uses(c as f64, t_us, 25.0),
+                breakeven_uses: swizzle::breakeven_uses(c as f64, t_us, CLOCK_MHZ),
             })
             .collect()
     };

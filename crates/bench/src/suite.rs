@@ -244,7 +244,7 @@ pub fn chrome_trace_fastpath() -> Result<String, efex_core::CoreError> {
         .build()?
         .measure_table3_spans()?;
 
-    let mut trace = ChromeTrace::new(CLOCK_MHZ);
+    let mut trace = ChromeTrace::new();
     trace.push_lifecycle(&ring.events());
     trace.push_profile_spans(&spans);
     Ok(trace.to_json())

@@ -9,7 +9,6 @@
 use efex_bench::{suite, symgate};
 use efex_core::{DeliveryPath, ExceptionKind, System};
 use efex_fleet::{run_fleet, FleetConfig};
-use efex_mips::cycles::CLOCK_MHZ;
 use efex_report::Baseline;
 use efex_trace::jsonval::{self, Value};
 use efex_trace::{RingSink, Snapshot, StatsSnapshot};
@@ -152,7 +151,7 @@ fn fleet_report_and_health_monitor_round_trip() {
     }
     round_trips(&report.aggregate.to_value());
     round_trips(&report.latency.to_value());
-    emitted(&report.chrome_trace(CLOCK_MHZ));
+    emitted(&report.chrome_trace());
 
     let mut mon = report.health_monitor();
     mon.finish();

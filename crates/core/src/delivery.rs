@@ -116,27 +116,21 @@ impl DeliveryCosts {
     pub fn simple_round_trip(&self) -> u64 {
         self.simple_deliver + self.simple_return
     }
-
-    /// The cost of one protection fault handled and returned from,
-    /// excluding any protection-change calls the handler makes.
-    pub fn prot_round_trip(&self) -> u64 {
-        self.prot_deliver + self.simple_return
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use efex_mips::cycles::{to_micros, CLOCK_MHZ};
+    use efex_mips::cycles::to_micros;
 
     #[test]
     fn fast_path_matches_paper_table2() {
         let c = DeliveryCosts::for_path(DeliveryPath::FastUser);
-        assert_eq!(to_micros(c.simple_deliver, CLOCK_MHZ), 5.0);
-        assert_eq!(to_micros(c.simple_return, CLOCK_MHZ), 3.0);
-        assert_eq!(to_micros(c.prot_deliver, CLOCK_MHZ), 15.0);
-        assert_eq!(to_micros(c.subpage_deliver, CLOCK_MHZ), 19.0);
-        assert_eq!(to_micros(c.simple_round_trip(), CLOCK_MHZ), 8.0);
+        assert_eq!(to_micros(c.simple_deliver), 5.0);
+        assert_eq!(to_micros(c.simple_return), 3.0);
+        assert_eq!(to_micros(c.prot_deliver), 15.0);
+        assert_eq!(to_micros(c.subpage_deliver), 19.0);
+        assert_eq!(to_micros(c.simple_round_trip()), 8.0);
     }
 
     #[test]
@@ -159,7 +153,7 @@ mod tests {
     fn eager_amplification_anchor() {
         // Fault + re-enable = 15 us + 3 us = the paper's 18 us.
         let c = DeliveryCosts::for_path(DeliveryPath::FastUser);
-        let total = to_micros(c.prot_deliver + c.protect_call, CLOCK_MHZ);
+        let total = to_micros(c.prot_deliver + c.protect_call);
         assert!((17.0..=19.0).contains(&total), "got {total}");
     }
 }

@@ -8,19 +8,12 @@
 //! `(vaddr, len, prot)`/`(vaddr, len, on)` argument triples with one typed,
 //! builder-style request (matching the workspace's `builder()` conventions).
 //!
-//! [`GuestConfig`] rounds the module out for the fleet engine: a `Send +
-//! Clone` construction recipe. The builders themselves are not `Send` (they
-//! may hold an `Rc` trace sink, and handlers are single-threaded closures),
-//! so multi-tenant workers ship a `GuestConfig` across the thread boundary
-//! and build the tenant — sink, handlers and all — inside the worker.
+//! [`System`]: crate::System
+//! [`HostProcess`]: crate::HostProcess
 
-use efex_mips::machine::MachineConfig;
 use efex_simos::Prot;
 
-use crate::delivery::DeliveryPath;
 use crate::error::CoreError;
-use crate::host::{DegradePolicy, HostBuilder, HostProcess};
-use crate::system::{System, SystemBuilder};
 
 /// A typed protection request: *which region*, *what protection*.
 ///
@@ -108,6 +101,9 @@ impl Protection {
 /// kernel's host interface against the instruction-level machine). Code
 /// that only needs "a guest to poke at" — fleet tenants, injection
 /// scenarios, generic test helpers — takes `&mut impl GuestMem`.
+///
+/// [`System`]: crate::System
+/// [`HostProcess`]: crate::HostProcess
 pub trait GuestMem {
     /// Loads a word with full fault semantics.
     ///
@@ -156,80 +152,6 @@ pub trait GuestMem {
     fn subpage_protect(&mut self, region: Protection) -> Result<(), CoreError>;
 }
 
-/// A `Send + Clone` recipe for constructing a guest inside a worker thread.
-///
-/// Carries every builder knob that is plain data; anything thread-bound
-/// (trace sinks, fault handlers) is attached by the worker after
-/// [`GuestConfig::host_builder`]/[`GuestConfig::system_builder`].
-#[derive(Clone, Copy, PartialEq, Debug)]
-pub struct GuestConfig {
-    /// Delivery path to model.
-    pub path: DeliveryPath,
-    /// Physical memory for the underlying machine.
-    pub phys_bytes: usize,
-    /// Eager amplification (fast/hardware paths only).
-    pub eager_amplification: bool,
-    /// Cycles charged per host-level application access.
-    pub access_cost: u64,
-    /// Degradation policy for deliveries that cannot take the path.
-    pub degrade_policy: DegradePolicy,
-    /// Machine configuration (execution engine). `None`
-    /// inherits the building thread's scoped default — see
-    /// [`efex_mips::machine::with_machine_config`].
-    pub machine: Option<MachineConfig>,
-}
-
-impl Default for GuestConfig {
-    fn default() -> GuestConfig {
-        GuestConfig::new(DeliveryPath::FastUser)
-    }
-}
-
-impl GuestConfig {
-    /// A config for `path` with the builders' default knobs.
-    pub fn new(path: DeliveryPath) -> GuestConfig {
-        GuestConfig {
-            path,
-            phys_bytes: efex_simos::layout::DEFAULT_PHYS_BYTES,
-            eager_amplification: false,
-            access_cost: 2,
-            degrade_policy: DegradePolicy::default(),
-            machine: None,
-        }
-    }
-
-    /// A [`HostBuilder`] primed with this config.
-    pub fn host_builder(&self) -> HostBuilder {
-        let mut b = HostProcess::builder()
-            .delivery(self.path)
-            .phys_bytes(self.phys_bytes)
-            .eager_amplification(self.eager_amplification)
-            .access_cost(self.access_cost)
-            .degrade_policy(self.degrade_policy);
-        if let Some(m) = self.machine {
-            b = b.machine_config(m);
-        }
-        b
-    }
-
-    /// A [`SystemBuilder`] primed with this config.
-    pub fn system_builder(&self) -> SystemBuilder {
-        let mut b = System::builder()
-            .delivery(self.path)
-            .phys_bytes(self.phys_bytes);
-        if let Some(m) = self.machine {
-            b = b.machine_config(m);
-        }
-        b
-    }
-}
-
-// The whole point of `GuestConfig`: it must stay shippable to workers.
-const _: () = {
-    const fn assert_send<T: Send + 'static>() {}
-    assert_send::<GuestConfig>();
-};
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -244,19 +166,5 @@ mod tests {
         assert_eq!(p.read_only().read_write().prot(), Prot::ReadWrite);
         assert!(!p.is_empty());
         assert!(Protection::region(0, 0).is_empty());
-    }
-
-    #[test]
-    fn guest_config_builders_carry_knobs() {
-        let cfg = GuestConfig {
-            eager_amplification: true,
-            access_cost: 5,
-            ..GuestConfig::new(DeliveryPath::HardwareVectored)
-        };
-        let host = cfg.host_builder().build().unwrap();
-        assert_eq!(host.path(), DeliveryPath::HardwareVectored);
-        assert!(host.eager_amplification());
-        let sys = cfg.system_builder().build().unwrap();
-        assert_eq!(sys.path(), DeliveryPath::HardwareVectored);
     }
 }

@@ -156,7 +156,7 @@ pub struct HostStats {
     /// Kernel subpage emulations (invisible to the application).
     pub subpage_emulated: u64,
     /// Deliveries that could not take the configured path and fell back to
-    /// Unix-signal costs (fault injection, recursive-fault fallback).
+    /// Unix-signal costs (fault injection).
     pub degraded_deliveries: u64,
 }
 
@@ -172,30 +172,17 @@ impl Snapshot for HostStats {
     }
 }
 
-/// What a [`HostProcess`] does when a delivery cannot take the configured
-/// path — a recursive fault, or an injected loss of fast-path state.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum DegradePolicy {
-    /// Recursive faults are errors (the paper's Section 2.2 semantics);
-    /// injected degradations still fall back to Unix-signal costs.
-    #[default]
-    Strict,
-    /// Recursive faults are completed with kernel rights at Unix-signal
-    /// cost and counted as degraded deliveries — the application survives
-    /// where `Strict` would surface [`CoreError::RecursiveFault`].
-    FallbackUnix,
-}
+/// Cycles charged per application memory access: the application's own
+/// load or store, warm cache.
+const ACCESS_CYCLES: u64 = 2;
 
 /// Builds a [`HostProcess`] — the same fluent shape as
 /// [`System::builder`](crate::System::builder).
 #[derive(Clone)]
 pub struct HostBuilder {
     path: DeliveryPath,
-    phys_bytes: usize,
     eager_amplification: bool,
-    access_cost: u64,
     trace: Option<SharedSink>,
-    degrade_policy: DegradePolicy,
     machine: Option<MachineConfig>,
 }
 
@@ -203,11 +190,8 @@ impl fmt::Debug for HostBuilder {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("HostBuilder")
             .field("path", &self.path)
-            .field("phys_bytes", &self.phys_bytes)
             .field("eager_amplification", &self.eager_amplification)
-            .field("access_cost", &self.access_cost)
             .field("trace", &self.trace.is_some())
-            .field("degrade_policy", &self.degrade_policy)
             .field("machine", &self.machine)
             .finish()
     }
@@ -217,11 +201,8 @@ impl Default for HostBuilder {
     fn default() -> HostBuilder {
         HostBuilder {
             path: DeliveryPath::FastUser,
-            phys_bytes: efex_simos::layout::DEFAULT_PHYS_BYTES,
             eager_amplification: false,
-            access_cost: 2,
             trace: None,
-            degrade_policy: DegradePolicy::default(),
             machine: None,
         }
     }
@@ -234,23 +215,10 @@ impl HostBuilder {
         self
     }
 
-    /// Sets the physical memory size for the underlying machine.
-    pub fn phys_bytes(mut self, bytes: usize) -> HostBuilder {
-        self.phys_bytes = bytes;
-        self
-    }
-
     /// Enables eager amplification (fast/hardware paths only;
     /// Section 3.2.3).
     pub fn eager_amplification(mut self, on: bool) -> HostBuilder {
         self.eager_amplification = on;
-        self
-    }
-
-    /// Sets the cycles charged per application memory access (models the
-    /// application's own load/store, warm cache).
-    pub fn access_cost(mut self, cycles: u64) -> HostBuilder {
-        self.access_cost = cycles;
         self
     }
 
@@ -260,13 +228,6 @@ impl HostBuilder {
     /// [`NullSink`]: efex_trace::NullSink
     pub fn trace_sink(mut self, sink: SharedSink) -> HostBuilder {
         self.trace = Some(sink);
-        self
-    }
-
-    /// Sets what happens when a delivery cannot take the configured path
-    /// (default [`DegradePolicy::Strict`]).
-    pub fn degrade_policy(mut self, policy: DegradePolicy) -> HostBuilder {
-        self.degrade_policy = policy;
         self
     }
 
@@ -285,7 +246,6 @@ impl HostBuilder {
     /// Fails if the kernel cannot boot.
     pub fn build(self) -> Result<HostProcess, CoreError> {
         let mut kernel = Kernel::boot(KernelConfig {
-            phys_bytes: self.phys_bytes,
             machine: self.machine,
             ..KernelConfig::default()
         })?;
@@ -305,9 +265,7 @@ impl HostBuilder {
             in_handler: false,
             stats: HostStats::default(),
             metrics: Metrics::new(),
-            access_cost: self.access_cost,
             next_alloc: efex_simos::layout::USER_DATA_VADDR,
-            degrade_policy: self.degrade_policy,
             degrade_next: 0,
         })
     }
@@ -377,9 +335,7 @@ pub struct HostProcess {
     in_handler: bool,
     stats: HostStats,
     metrics: Metrics,
-    access_cost: u64,
     next_alloc: u32,
-    degrade_policy: DegradePolicy,
     /// Deliveries remaining that are forced onto the Unix-cost fallback
     /// (fault injection: models comm-page loss at the host level).
     degrade_next: u64,
@@ -466,8 +422,8 @@ impl HostProcess {
     }
 
     /// Checkpoints this process: the full kernel state plus the host-side
-    /// delivery accounting (stats, access cost, allocation cursor, degrade
-    /// policy, pending injected degradations).
+    /// delivery accounting (stats, allocation cursor, pending injected
+    /// degradations).
     ///
     /// The registered fault handler is a host-side Rust closure and is
     /// *never* serialized — restore keeps the receiver's handler (see
@@ -493,9 +449,7 @@ impl HostProcess {
             path: self.path,
             kernel: self.kernel.snapshot(),
             stats: self.stats,
-            access_cost: self.access_cost,
             next_alloc: self.next_alloc,
-            degrade_policy: self.degrade_policy,
             degrade_next: self.degrade_next,
         })
     }
@@ -524,9 +478,7 @@ impl HostProcess {
         }
         self.kernel.restore(&s.kernel)?;
         self.stats = s.stats;
-        self.access_cost = s.access_cost;
         self.next_alloc = s.next_alloc;
-        self.degrade_policy = s.degrade_policy;
         self.degrade_next = s.degrade_next;
         Ok(())
     }
@@ -571,11 +523,6 @@ impl HostProcess {
     /// The registered handler's diagnostic name, if any.
     pub fn handler_name(&self) -> Option<&'static str> {
         self.handler_name
-    }
-
-    /// The degradation policy in force.
-    pub fn degrade_policy(&self) -> DegradePolicy {
-        self.degrade_policy
     }
 
     /// Fault injection: forces the next `n` deliveries onto the Unix-cost
@@ -678,21 +625,9 @@ impl HostProcess {
             value,
         };
         if self.in_handler {
-            // Recursive exception. The paper routes these to the kernel as
-            // errors (Section 2.2); under `FallbackUnix` the kernel instead
-            // completes the access with kernel rights at Unix-signal cost
-            // and counts the delivery as degraded.
-            match self.degrade_policy {
-                DegradePolicy::Strict => return Err(CoreError::RecursiveFault(info)),
-                DegradePolicy::FallbackUnix => {
-                    let unix = DeliveryCosts::for_path(DeliveryPath::UnixSignals);
-                    self.kernel.charge(unix.simple_deliver + unix.simple_return);
-                    self.stats.degraded_deliveries += 1;
-                    let class = FaultClass::Other;
-                    self.metrics.record_degraded(self.path.into(), class);
-                    return Ok(HandlerAction::Emulate);
-                }
-            }
+            // Recursive exception: the paper routes these to the kernel as
+            // errors (Section 2.2).
+            return Err(CoreError::RecursiveFault(info));
         }
         if self.handler.is_none() {
             return Err(CoreError::Unhandled(info));
@@ -842,7 +777,7 @@ impl GuestMem for HostProcess {
     /// [`HandlerAction`]).
     fn load_u32(&mut self, vaddr: u32) -> Result<u32, CoreError> {
         self.stats.accesses += 1;
-        self.kernel.charge(self.access_cost);
+        self.kernel.charge(ACCESS_CYCLES);
         let mut addr = vaddr;
         for _attempt in 0..MAX_RETRIES {
             match self.kernel.host_load_u32(addr) {
@@ -869,7 +804,7 @@ impl GuestMem for HostProcess {
 
     fn store_u32(&mut self, vaddr: u32, value: u32) -> Result<(), CoreError> {
         self.stats.accesses += 1;
-        self.kernel.charge(self.access_cost);
+        self.kernel.charge(ACCESS_CYCLES);
         let mut addr = vaddr;
         for _attempt in 0..MAX_RETRIES {
             match self.kernel.host_store_u32(addr, value) {
@@ -1220,7 +1155,7 @@ mod tests {
     }
 
     #[test]
-    fn fallback_unix_policy_survives_recursive_faults() {
+    fn fault_inside_a_handler_is_a_recursive_fault() {
         // Drive deliver() with in_handler forced on — the recursive window
         // a fault inside a fault handler opens.
         let fault = HostFault {
@@ -1229,27 +1164,16 @@ mod tests {
             kind: FaultKind::Protection,
             write: true,
         };
-        let mut strict = host(DeliveryPath::FastUser);
-        strict.set_handler(HandlerSpec::new(|_, _| HandlerAction::Retry));
-        strict.in_handler = true;
+        let mut h = host(DeliveryPath::FastUser);
+        h.set_handler(HandlerSpec::new(|_, _| HandlerAction::Retry));
+        h.in_handler = true;
+        let t0 = h.cycles();
         assert!(matches!(
-            strict.deliver(fault, None),
+            h.deliver(fault, None),
             Err(CoreError::RecursiveFault(_))
         ));
-
-        let mut fallback = HostProcess::builder()
-            .delivery(DeliveryPath::FastUser)
-            .degrade_policy(DegradePolicy::FallbackUnix)
-            .build()
-            .unwrap();
-        fallback.set_handler(HandlerSpec::new(|_, _| HandlerAction::Retry));
-        fallback.in_handler = true;
-        let t0 = fallback.cycles();
-        let action = fallback.deliver(fault, None).unwrap();
-        assert_eq!(action, HandlerAction::Emulate, "access completes inline");
-        assert_eq!(fallback.stats().degraded_deliveries, 1);
-        let unix = DeliveryCosts::for_path(DeliveryPath::UnixSignals);
-        assert_eq!(fallback.cycles() - t0, unix.simple_round_trip());
+        assert_eq!(h.cycles(), t0, "a recursive fault charges nothing");
+        assert_eq!(h.stats().degraded_deliveries, 0);
     }
 
     #[test]

@@ -91,10 +91,9 @@ mod workload;
 
 pub use delivery::{DeliveryCosts, DeliveryPath};
 pub use error::CoreError;
-pub use guestmem::{GuestConfig, GuestMem, Protection};
+pub use guestmem::{GuestMem, Protection};
 pub use host::{
-    DegradePolicy, FaultCtx, FaultInfo, HandlerAction, HandlerSpec, HostBuilder, HostProcess,
-    HostStats,
+    FaultCtx, FaultInfo, HandlerAction, HandlerSpec, HostBuilder, HostProcess, HostStats,
 };
 pub use snapshot::{HostSnapshot, SystemSnapshot};
 pub use system::{ExceptionKind, RoundTrip, System, SystemBuilder, Table3Row};

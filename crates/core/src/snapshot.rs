@@ -7,8 +7,8 @@
 //!   fast-user checkpoint cannot be restored into a Unix-signals system
 //!   and silently measure the wrong thing;
 //! - [`HostSnapshot`] additionally carries the [`HostProcess`] accounting
-//!   (stats, access cost, allocation cursor, degrade policy and any
-//!   injected degradations still pending).
+//!   (stats, allocation cursor and any injected degradations still
+//!   pending).
 //!
 //! What is deliberately *not* here: the registered fault handler. A
 //! handler is an arbitrary host-side Rust closure — it cannot be
@@ -25,7 +25,7 @@ use efex_simos::snapshot::KernelState;
 use efex_snap::{Flavor, Reader, SnapError, Writer};
 
 use crate::delivery::DeliveryPath;
-use crate::host::{DegradePolicy, HostStats};
+use crate::host::HostStats;
 
 fn path_tag(p: DeliveryPath) -> u8 {
     match p {
@@ -91,12 +91,8 @@ pub struct HostSnapshot {
     pub kernel: KernelState,
     /// Host-side delivery counters.
     pub stats: HostStats,
-    /// Cycles charged per raw host access.
-    pub access_cost: u64,
     /// Bump-allocator cursor for [`crate::HostProcess::alloc_region`].
     pub next_alloc: u32,
-    /// Recursive-fault degrade policy.
-    pub degrade_policy: DegradePolicy,
     /// Injected degradations still pending consumption.
     pub degrade_next: u64,
 }
@@ -113,12 +109,7 @@ impl HostSnapshot {
         w.u64(self.stats.eager_amplified);
         w.u64(self.stats.subpage_emulated);
         w.u64(self.stats.degraded_deliveries);
-        w.u64(self.access_cost);
         w.u32(self.next_alloc);
-        w.u8(match self.degrade_policy {
-            DegradePolicy::Strict => 0,
-            DegradePolicy::FallbackUnix => 1,
-        });
         w.u64(self.degrade_next);
         w.finish()
     }
@@ -140,22 +131,14 @@ impl HostSnapshot {
             subpage_emulated: r.u64()?,
             degraded_deliveries: r.u64()?,
         };
-        let access_cost = r.u64()?;
         let next_alloc = r.u32()?;
-        let degrade_policy = match r.u8()? {
-            0 => DegradePolicy::Strict,
-            1 => DegradePolicy::FallbackUnix,
-            t => return Err(SnapError::Corrupt(format!("degrade-policy tag {t}"))),
-        };
         let degrade_next = r.u64()?;
         r.done()?;
         Ok(HostSnapshot {
             path,
             kernel,
             stats,
-            access_cost,
             next_alloc,
-            degrade_policy,
             degrade_next,
         })
     }

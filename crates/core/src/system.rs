@@ -53,28 +53,22 @@ pub struct RoundTrip {
     pub deliver_cycles: u64,
     /// Null-handler return → next application instruction.
     pub return_cycles: u64,
-    /// Simulated clock (MHz) for µs conversion.
-    clock_mhz_x100: u32,
 }
 
 impl RoundTrip {
     /// Delivery time in µs.
     pub fn deliver_micros(&self) -> f64 {
-        to_micros(self.deliver_cycles, self.clock())
+        to_micros(self.deliver_cycles)
     }
 
     /// Return time in µs.
     pub fn return_micros(&self) -> f64 {
-        to_micros(self.return_cycles, self.clock())
+        to_micros(self.return_cycles)
     }
 
     /// Round trip in µs.
     pub fn total_micros(&self) -> f64 {
-        to_micros(self.deliver_cycles + self.return_cycles, self.clock())
-    }
-
-    fn clock(&self) -> f64 {
-        f64::from(self.clock_mhz_x100) / 100.0
+        to_micros(self.deliver_cycles + self.return_cycles)
     }
 }
 
@@ -95,7 +89,6 @@ pub struct Table3Row {
 #[derive(Clone)]
 pub struct SystemBuilder {
     path: DeliveryPath,
-    phys_bytes: usize,
     trace: Option<SharedSink>,
     machine: Option<MachineConfig>,
 }
@@ -104,7 +97,6 @@ impl std::fmt::Debug for SystemBuilder {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SystemBuilder")
             .field("path", &self.path)
-            .field("phys_bytes", &self.phys_bytes)
             .field("trace", &self.trace.is_some())
             .field("machine", &self.machine)
             .finish()
@@ -115,7 +107,6 @@ impl Default for SystemBuilder {
     fn default() -> SystemBuilder {
         SystemBuilder {
             path: DeliveryPath::FastUser,
-            phys_bytes: efex_simos::layout::DEFAULT_PHYS_BYTES,
             trace: None,
             machine: None,
         }
@@ -126,12 +117,6 @@ impl SystemBuilder {
     /// Selects the delivery path.
     pub fn delivery(mut self, path: DeliveryPath) -> SystemBuilder {
         self.path = path;
-        self
-    }
-
-    /// Sets the physical memory size.
-    pub fn phys_bytes(mut self, bytes: usize) -> SystemBuilder {
-        self.phys_bytes = bytes;
         self
     }
 
@@ -159,7 +144,6 @@ impl SystemBuilder {
     /// Fails if the kernel cannot boot.
     pub fn build(self) -> Result<System, CoreError> {
         let mut kernel = Kernel::boot(KernelConfig {
-            phys_bytes: self.phys_bytes,
             machine: self.machine,
             ..KernelConfig::default()
         })?;
@@ -391,11 +375,9 @@ impl System {
         self.metrics.record_handler(path, class, t2.max(t1) - t1);
         self.metrics.record_return(path, class, t3 - t2.max(t1));
 
-        let clock = self.kernel.clock_mhz();
         Ok(RoundTrip {
             deliver_cycles: t1 - t0,
             return_cycles: t3 - t2.max(t1),
-            clock_mhz_x100: (clock * 100.0) as u32,
         })
     }
 

@@ -34,10 +34,10 @@
 //!
 //! A tenant's result depends only on its spec (suite + seed) — tenants share
 //! no state, so it never depends on which worker ran it or in what order.
-//! Aggregation is order-independent by construction: [`StatsSnapshot::merge`]
-//! sums counters by name and [`Histogram::merge`] sums bucket counts, both
-//! commutative, and the per-tenant vector is collected into id order before
-//! anything reads it. The fleet aggregate is therefore bit-identical across
+//! Every run builds its report the same way: the per-tenant vector is
+//! collected into id order before anything reads it, [`StatsSnapshot::merge`]
+//! sums counters by name, and the latency [`Histogram`] records one value
+//! per tenant. The fleet aggregate is therefore bit-identical across
 //! thread-pool sizes — [`FleetReport::fingerprint`] captures exactly the
 //! deterministic portion (everything except wall-clock time) so callers can
 //! assert it.
@@ -275,8 +275,8 @@ pub struct FleetReport {
     pub tenants: Vec<TenantReport>,
     /// All tenant stats merged (counters summed by name).
     pub aggregate: StatsSnapshot,
-    /// Per-tenant simulated run time, recorded in nanoseconds: shard
-    /// histograms merged across workers.
+    /// Per-tenant simulated run time, recorded in nanoseconds, one record
+    /// per tenant.
     pub latency: Histogram,
     /// Total simulated time across tenants, µs.
     pub total_micros: f64,
@@ -343,8 +343,8 @@ impl FleetReport {
     /// Exports the fleet as a Chrome trace-event document: each tenant's
     /// lifecycle sample on its own named thread row (requires the fleet to
     /// have run with `FleetConfig::trace`).
-    pub fn chrome_trace(&self, clock_mhz: f64) -> String {
-        let mut trace = ChromeTrace::new(clock_mhz);
+    pub fn chrome_trace(&self) -> String {
+        let mut trace = ChromeTrace::new();
         for t in &self.tenants {
             trace.push_tenant_lifecycle(
                 TID_TENANT_BASE + t.id,
@@ -355,26 +355,23 @@ impl FleetReport {
         trace.to_json()
     }
 
-    /// Builds the armed health monitor for this run with the default
-    /// evaluation interval ([`DEFAULT_HEALTH_INTERVAL_CYCLES`]). See
-    /// [`FleetReport::health_monitor_with`].
+    /// Builds the health monitor for this run armed with
+    /// [`fleet_invariants`]. See [`FleetReport::health_monitor_with`].
     pub fn health_monitor(&self) -> HealthMonitor {
-        self.health_monitor_with(DEFAULT_HEALTH_INTERVAL_CYCLES, fleet_invariants())
+        self.health_monitor_with(fleet_invariants())
     }
 
     /// Builds a [`HealthMonitor`] armed with `invariants` (callers extend
-    /// [`fleet_invariants`]) and fed from every layer: per-tenant workload stats and health snapshots, the
-    /// fleet aggregate and an aggregate health rollup, the latency
-    /// histogram, and the static fast-path budget. Tenants are replayed in
-    /// id order against the accumulated simulated-cycle clock, so interval
-    /// evaluations fire as they would have during the run; the caller
-    /// finishes with [`HealthMonitor::finish`] for the end-of-run pass.
-    pub fn health_monitor_with(
-        &self,
-        interval_cycles: u64,
-        invariants: Vec<Invariant>,
-    ) -> HealthMonitor {
-        let mut mon = HealthMonitor::new().with_interval(interval_cycles);
+    /// [`fleet_invariants`]) and fed from every layer: per-tenant workload
+    /// stats and health snapshots, the fleet aggregate and an aggregate
+    /// health rollup, the latency histogram, and the static fast-path
+    /// budget. Tenants are replayed in id order against the accumulated
+    /// simulated-cycle clock, so evaluations every
+    /// [`HEALTH_INTERVAL_CYCLES`] fire as they would have during the run;
+    /// the caller finishes with [`HealthMonitor::finish`] for the
+    /// end-of-run pass.
+    pub fn health_monitor_with(&self, invariants: Vec<Invariant>) -> HealthMonitor {
+        let mut mon = HealthMonitor::new().with_interval(HEALTH_INTERVAL_CYCLES);
         for inv in invariants {
             mon.add_invariant(inv);
         }
@@ -442,8 +439,8 @@ impl FleetReport {
     }
 }
 
-/// Default simulated-cycle interval between health evaluations.
-pub const DEFAULT_HEALTH_INTERVAL_CYCLES: u64 = 100_000;
+/// Simulated-cycle interval between health evaluations.
+pub const HEALTH_INTERVAL_CYCLES: u64 = 100_000;
 
 /// The fleet's declarative invariant set: what "every delivery mechanism is
 /// still effective" means for a healthy run. All thresholds are deliberately
@@ -532,43 +529,15 @@ pub fn plan(cfg: &FleetConfig) -> Vec<TenantSpec> {
         .collect()
 }
 
-/// Runs one tenant to completion on the calling thread.
+/// Runs one tenant to completion on the calling thread: one workload pass
+/// plus the delivery probe, [`resume_tenant`] of a fresh one-leg
+/// checkpoint.
 ///
 /// # Errors
 ///
 /// Returns [`FleetError`] if the tenant's workload fails.
 pub fn run_tenant(spec: TenantSpec, trace: bool, health: bool) -> Result<TenantReport, FleetError> {
-    let err = |e: &dyn std::fmt::Display| FleetError {
-        tenant: spec.id,
-        suite: spec.suite.as_str(),
-        message: e.to_string(),
-    };
-    // Leg 0 runs under the tenant's own seed, so a single-leg tenant is
-    // exactly the pre-leg behaviour.
-    let run = run_leg(spec, 0)?;
-    let mut health_snap = StatsSnapshot::new("tenant-health");
-    if health {
-        health_snap.merge(&run.health);
-    }
-    let mut events = Vec::new();
-    if trace || health {
-        let probe = delivery_probe(spec.suite).map_err(|e| err(&e))?;
-        if trace {
-            events = probe.events;
-        }
-        if health {
-            health_snap.merge(&probe.health);
-        }
-    }
-    Ok(TenantReport {
-        id: spec.id,
-        suite: spec.suite,
-        seed: spec.seed,
-        micros: run.micros,
-        stats: run.stats,
-        events,
-        health: health_snap,
-    })
+    complete_tenant(TenantCheckpoint::initial(spec, 1), trace, health)
 }
 
 /// The seed a tenant's `leg`-th workload pass runs under. Leg 0 is the
@@ -767,7 +736,16 @@ pub fn resume_tenant(
     trace: bool,
     health: bool,
 ) -> Result<TenantReport, FleetError> {
-    let mut ckpt = ckpt.clone();
+    complete_tenant(ckpt.clone(), trace, health)
+}
+
+/// The one tenant runner behind [`run_tenant`] and [`resume_tenant`]: the
+/// remaining legs, the probe, and the report.
+fn complete_tenant(
+    mut ckpt: TenantCheckpoint,
+    trace: bool,
+    health: bool,
+) -> Result<TenantReport, FleetError> {
     let total = ckpt.legs_total;
     advance_tenant(&mut ckpt, total)?;
     let err = |e: &dyn std::fmt::Display| FleetError {
@@ -775,10 +753,13 @@ pub fn resume_tenant(
         suite: ckpt.spec.suite.as_str(),
         message: e.to_string(),
     };
-    let mut health_snap = StatsSnapshot::new("tenant-health");
-    if health {
-        health_snap.merge(&ckpt.health);
-    }
+    // The checkpoint's health counters were merged from empty, so taking
+    // them whole is the merge into a fresh snapshot.
+    let mut health_snap = if health {
+        ckpt.health
+    } else {
+        StatsSnapshot::new("tenant-health")
+    };
     let mut events = Vec::new();
     if trace || health {
         let probe = delivery_probe(ckpt.spec.suite).map_err(|e| err(&e))?;
@@ -798,24 +779,6 @@ pub fn resume_tenant(
         events,
         health: health_snap,
     })
-}
-
-/// Runs a tenant as `legs` workload passes (plus the probe). `legs <= 1`
-/// is exactly [`run_tenant`].
-///
-/// # Errors
-///
-/// Returns [`FleetError`] if any leg's workload fails.
-pub fn run_tenant_legged(
-    spec: TenantSpec,
-    legs: u32,
-    trace: bool,
-    health: bool,
-) -> Result<TenantReport, FleetError> {
-    if legs <= 1 {
-        return run_tenant(spec, trace, health);
-    }
-    resume_tenant(&TenantCheckpoint::initial(spec, legs), trace, health)
 }
 
 /// Runs `f(shard, item)` for each item on the worker pool with a *static*
@@ -864,9 +827,9 @@ fn drill_legs(cfg: &FleetConfig) -> (u32, u32) {
     (legs, legs / 2)
 }
 
-/// Aggregates drill-produced tenant reports the same way [`run_fleet`]
-/// does (id order, merged stats, merged latency shards are unnecessary —
-/// one record per tenant in id order is the same histogram).
+/// Builds the fleet report from its tenant reports: id order, merged
+/// stats, and one latency record per tenant (histogram buckets sum, so the
+/// order of records does not change the histogram).
 fn aggregate_reports(
     mut tenants: Vec<TenantReport>,
     threads: usize,
@@ -895,7 +858,8 @@ fn aggregate_reports(
     }
 }
 
-fn drill_fast_path(cfg: &FleetConfig) -> Result<Option<FastPathBudget>, FleetError> {
+/// The fast-path budget when the fleet runs with health on.
+fn fleet_fast_path(cfg: &FleetConfig) -> Result<Option<FastPathBudget>, FleetError> {
     if cfg.health {
         Ok(Some(fast_path_budget().map_err(|message| FleetError {
             tenant: 0,
@@ -930,7 +894,7 @@ pub fn run_fleet_migrate(cfg: &FleetConfig) -> Result<FleetReport, FleetError> {
     let cfg = *cfg;
     let threads = cfg.threads.max(1);
     let (legs, split) = drill_legs(&cfg);
-    let fast_path = drill_fast_path(&cfg)?;
+    let fast_path = fleet_fast_path(&cfg)?;
     let start = Instant::now();
     let specs = plan(&cfg);
     // Phase A: home shard = id % threads, run to the checkpoint, serialize.
@@ -996,7 +960,7 @@ pub fn run_fleet_kill_shard(cfg: &FleetConfig, dead: usize) -> Result<FleetRepor
         });
     }
     let (legs, split) = drill_legs(&cfg);
-    let fast_path = drill_fast_path(&cfg)?;
+    let fast_path = fleet_fast_path(&cfg)?;
     let start = Instant::now();
     let specs = plan(&cfg);
     // Phase A: everyone runs to the checkpoint on their home shard and
@@ -1142,64 +1106,37 @@ pub fn run_fleet(cfg: &FleetConfig) -> Result<FleetReport, FleetError> {
     let threads = cfg.threads.max(1);
     // The fast-path budget is a property of the kernel image, not of any
     // tenant: probe it once, before the workers start.
-    let fast_path = if cfg.health {
-        Some(fast_path_budget().map_err(|message| FleetError {
-            tenant: 0,
-            suite: "health-probe",
-            message,
-        })?)
-    } else {
-        None
-    };
+    let fast_path = fleet_fast_path(cfg)?;
     let n = specs.len();
     let cfg = *cfg;
     let next = AtomicUsize::new(0);
     let start = Instant::now();
-    // Each shard claims tenants until none are left, recording their
-    // latencies in its own histogram; bucket counts sum, so the merged
-    // histogram is invariant to how tenants were partitioned.
+    // Each shard claims tenants until none are left.
     let shards = pool::run(threads, move |_| {
-        let mut latency = Histogram::new();
         let mut done = Vec::new();
         loop {
             let i = next.fetch_add(1, Ordering::Relaxed);
             let Some(&spec) = specs.get(i) else {
                 break;
             };
-            let result = run_tenant_legged(spec, cfg.legs, cfg.trace, cfg.health);
-            if let Ok(r) = &result {
-                latency.record((r.micros * 1000.0) as u64); // µs → ns
-            }
-            done.push((i, result));
+            let ckpt = TenantCheckpoint::initial(spec, cfg.legs);
+            done.push((i, complete_tenant(ckpt, cfg.trace, cfg.health)));
         }
-        (latency, done)
+        done
     });
     let wall_seconds = start.elapsed().as_secs_f64();
-
-    let mut latency = Histogram::new();
-    let mut ran = Vec::with_capacity(n);
-    for (shard, done) in shards {
-        latency.merge(&shard);
-        ran.extend(done);
-    }
     // Collecting in id order returns the lowest-id error.
-    let tenants = in_item_order(n, ran)
+    let tenants = in_item_order(n, shards.into_iter().flatten())
         .into_iter()
         .collect::<Result<Vec<_>, _>>()?;
-
-    let aggregate = StatsSnapshot::aggregate("fleet", tenants.iter().map(|t| &t.stats));
-    let total_micros = tenants.iter().map(|t| t.micros).sum();
-    Ok(FleetReport {
+    Ok(aggregate_reports(
         tenants,
-        aggregate,
-        latency,
-        total_micros,
-        wall_seconds,
         threads,
         fast_path,
-        migrations: 0,
-        recoveries: 0,
-    })
+        wall_seconds,
+        0,
+        0,
+    ))
 }
 
 /// The fast-path budget, measured once per process: it is a pure function
@@ -1656,7 +1593,7 @@ mod tests {
         for t in &r.tenants {
             assert!(!t.events.is_empty(), "tenant {} has no events", t.id);
         }
-        let json = r.chrome_trace(25.0);
+        let json = r.chrome_trace();
         for id in 0..3 {
             assert!(
                 json.contains(&format!("tenant-{id:02}")),

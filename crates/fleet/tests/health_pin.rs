@@ -8,7 +8,7 @@
 //! To re-record after an intended change, run this test with
 //! `--nocapture` and copy the printed digests.
 
-use efex_fleet::{fleet_invariants, run_fleet, FleetConfig, DEFAULT_HEALTH_INTERVAL_CYCLES};
+use efex_fleet::{fleet_invariants, run_fleet, FleetConfig};
 use efex_health::{Invariant, MetricRef};
 
 /// FNV-1a, 64-bit: a stable digest with no dependency.
@@ -74,7 +74,7 @@ fn canary_findings_are_pinned() {
             .per_tenant()
             .hint("deliberately violated: every tenant's workload runs"),
     );
-    let mut mon = report.health_monitor_with(DEFAULT_HEALTH_INTERVAL_CYCLES, invariants);
+    let mut mon = report.health_monitor_with(invariants);
     let got: Vec<(String, Option<u32>, Option<u64>, String)> = mon
         .finish()
         .iter()

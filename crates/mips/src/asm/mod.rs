@@ -94,18 +94,6 @@ impl Program {
         &self.symbols
     }
 
-    /// Iterates `(name, address)` over symbols with a given prefix — used to
-    /// build profiler regions from phase labels.
-    pub fn symbols_with_prefix<'a>(
-        &'a self,
-        prefix: &'a str,
-    ) -> impl Iterator<Item = (&'a str, u32)> + 'a {
-        self.symbols
-            .iter()
-            .filter(move |(k, _)| k.starts_with(prefix))
-            .map(|(k, v)| (k.as_str(), *v))
-    }
-
     /// The code labels (symbols defined with `name:`, excluding `.equ`
     /// constants), name → address.
     pub fn labels(&self) -> &BTreeMap<String, u32> {

@@ -28,11 +28,11 @@
 //!   the simulated kernel charges [`ULTRIX_NULL_SYSCALL`] for its
 //!   general-purpose syscall wrapper.
 //!
-//! All reported microseconds are `cycles / clock_mhz`.
+//! All reported microseconds are `cycles / CLOCK_MHZ`.
 
 use crate::isa::Instruction;
 
-/// Default simulated clock, MHz (DECstation 5000/200).
+/// The simulated clock, MHz (DECstation 5000/200).
 pub const CLOCK_MHZ: f64 = 25.0;
 
 /// Cycles for any instruction's issue.
@@ -91,14 +91,9 @@ pub fn charged(inst: Instruction, user: bool) -> u64 {
     }
 }
 
-/// Converts a cycle count to microseconds at a given clock.
-pub fn to_micros(cycles: u64, clock_mhz: f64) -> f64 {
-    cycles as f64 / clock_mhz
-}
-
-/// Converts microseconds to cycles at a given clock (rounded).
-pub fn from_micros(micros: f64, clock_mhz: f64) -> u64 {
-    (micros * clock_mhz).round() as u64
+/// Converts a cycle count to microseconds at [`CLOCK_MHZ`].
+pub fn to_micros(cycles: u64) -> f64 {
+    cycles as f64 / CLOCK_MHZ
 }
 
 #[cfg(test)]
@@ -106,10 +101,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn micros_round_trip() {
-        assert_eq!(to_micros(250, CLOCK_MHZ), 10.0);
-        assert_eq!(from_micros(10.0, CLOCK_MHZ), 250);
-        assert_eq!(from_micros(to_micros(12345, CLOCK_MHZ), CLOCK_MHZ), 12345);
+    fn micros_at_the_clock() {
+        assert_eq!(to_micros(250), 10.0);
     }
 
     #[test]
@@ -139,7 +132,7 @@ mod tests {
         // Entry flush + ~10 minimal kernel instructions + rfe return must be
         // near the paper's 2 us architectural limit.
         let approx = EXCEPTION_ENTRY + 15 + 5;
-        let us = to_micros(approx, CLOCK_MHZ);
+        let us = to_micros(approx);
         assert!((1.5..=2.5).contains(&us), "got {us}");
     }
 }

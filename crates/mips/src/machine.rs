@@ -594,18 +594,6 @@ impl Machine {
         self.engine
     }
 
-    /// Switches the execution engine. Cached superblocks are vacated on any
-    /// switch; architecturally-visible behaviour is identical either way.
-    pub fn set_engine(&mut self, engine: ExecEngine) {
-        if engine != self.engine {
-            if engine == ExecEngine::Superblock && self.sbcache.is_empty() {
-                self.sbcache.resize_with(SBLOCK_SETS * SBLOCK_WAYS, || None);
-            }
-            self.vacate_superblocks();
-            self.engine = engine;
-        }
-    }
-
     /// Empties every superblock in place, keeping the allocations.
     fn vacate_superblocks(&mut self) {
         for block in self.sbcache.iter_mut().flatten() {
@@ -1700,20 +1688,6 @@ impl Machine {
             .map_err(|_| self.fault(ExcCode::BusErrData, vaddr))
     }
 
-    /// Writes one byte at a virtual address (see [`Machine::poke_u32`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns the exception that a guest store would have raised.
-    pub fn poke_u8(&mut self, vaddr: u32, value: u8, user: bool) -> Result<(), Exception> {
-        let paddr = self
-            .translate(vaddr, Access::Store, user)
-            .map_err(|(c, v)| self.fault(c, v))?;
-        self.mem
-            .write_u8(paddr, value)
-            .map_err(|_| self.fault(ExcCode::BusErrData, vaddr))
-    }
-
     /// Reads a halfword at a virtual address (see [`Machine::peek_u32`]).
     ///
     /// # Errors
@@ -1728,23 +1702,6 @@ impl Machine {
             .map_err(|(c, v)| self.fault(c, v))?;
         self.mem
             .read_u16(paddr)
-            .map_err(|_| self.fault(ExcCode::BusErrData, vaddr))
-    }
-
-    /// Writes a halfword at a virtual address (see [`Machine::poke_u32`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns the exception that a guest store would have raised.
-    pub fn poke_u16(&mut self, vaddr: u32, value: u16, user: bool) -> Result<(), Exception> {
-        if vaddr & 1 != 0 {
-            return Err(self.fault(ExcCode::AddrErrStore, vaddr));
-        }
-        let paddr = self
-            .translate(vaddr, Access::Store, user)
-            .map_err(|(c, v)| self.fault(c, v))?;
-        self.mem
-            .write_u16(paddr, value)
             .map_err(|_| self.fault(ExcCode::BusErrData, vaddr))
     }
 

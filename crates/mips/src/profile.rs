@@ -117,11 +117,6 @@ impl Profiler {
         self.enabled = enabled;
     }
 
-    /// Whether counting is active.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Records one executed instruction at `pc` costing `cycles`.
     pub fn record(&mut self, pc: u32, cycles: u64) {
         if !self.enabled {

@@ -13,8 +13,10 @@
 //!   lifecycle spans.
 //!
 //! Timestamps are microseconds (the trace-event format's native unit),
-//! converted from simulated cycles at the machine clock rate.
+//! converted from simulated cycles at the machine clock rate
+//! ([`efex_mips::cycles::to_micros`]).
 
+use efex_mips::cycles::to_micros;
 use efex_mips::RegionSpan;
 use efex_trace::jsonval::Value;
 use efex_trace::{EventKind, TraceEvent};
@@ -30,27 +32,24 @@ pub const TID_TENANT_BASE: u32 = 16;
 /// Builder for a trace-event-format JSON document.
 #[derive(Clone, Debug)]
 pub struct ChromeTrace {
-    clock_mhz: f64,
     /// Trace events, in emission order.
     events: Vec<Value>,
 }
 
+impl Default for ChromeTrace {
+    fn default() -> ChromeTrace {
+        ChromeTrace::new()
+    }
+}
+
 impl ChromeTrace {
-    /// A trace whose cycle → µs conversion uses the given clock rate.
-    pub fn new(clock_mhz: f64) -> ChromeTrace {
-        assert!(clock_mhz > 0.0, "clock rate must be positive");
-        let mut t = ChromeTrace {
-            clock_mhz,
-            events: Vec::new(),
-        };
+    /// An empty trace: process and thread names only.
+    pub fn new() -> ChromeTrace {
+        let mut t = ChromeTrace { events: Vec::new() };
         t.push_metadata("process_name", "efex");
         t.push_thread_name(TID_LIFECYCLE, "exception lifecycle");
         t.push_thread_name(TID_REGIONS, "guest kernel regions");
         t
-    }
-
-    fn us(&self, cycles: u64) -> f64 {
-        cycles as f64 / self.clock_mhz
     }
 
     /// The fields every trace event starts with.
@@ -124,7 +123,7 @@ impl ChromeTrace {
                     self.push_instant(
                         tid,
                         &format!("fault:{}", ev.class),
-                        self.us(ev.cycles),
+                        to_micros(ev.cycles),
                         args,
                     );
                     raised = Some(ev);
@@ -136,8 +135,8 @@ impl ChromeTrace {
                         self.push_complete(
                             tid,
                             "deliver",
-                            self.us(start.cycles),
-                            self.us(ev.cycles.saturating_sub(start.cycles)),
+                            to_micros(start.cycles),
+                            to_micros(ev.cycles.saturating_sub(start.cycles)),
                             args,
                         );
                     }
@@ -148,8 +147,8 @@ impl ChromeTrace {
                         self.push_complete(
                             tid,
                             "handler",
-                            self.us(start.cycles),
-                            self.us(ev.cycles.saturating_sub(start.cycles)),
+                            to_micros(start.cycles),
+                            to_micros(ev.cycles.saturating_sub(start.cycles)),
                             args,
                         );
                     }
@@ -160,8 +159,8 @@ impl ChromeTrace {
                         self.push_complete(
                             tid,
                             "return",
-                            self.us(start.cycles),
-                            self.us(ev.cycles.saturating_sub(start.cycles)),
+                            to_micros(start.cycles),
+                            to_micros(ev.cycles.saturating_sub(start.cycles)),
                             args,
                         );
                     }
@@ -181,8 +180,8 @@ impl ChromeTrace {
             self.push_complete(
                 TID_REGIONS,
                 &s.name,
-                self.us(s.start_cycles),
-                self.us(s.cycles()),
+                to_micros(s.start_cycles),
+                to_micros(s.cycles()),
                 args,
             );
         }
@@ -231,7 +230,7 @@ mod tests {
 
     #[test]
     fn lifecycle_produces_three_phase_spans() {
-        let mut t = ChromeTrace::new(25.0);
+        let mut t = ChromeTrace::new();
         let before = t.len();
         t.push_lifecycle(&lifecycle(1000));
         // 1 instant + 3 complete spans.
@@ -248,7 +247,7 @@ mod tests {
 
     #[test]
     fn spans_are_monotonic_and_durations_nonnegative() {
-        let mut t = ChromeTrace::new(25.0);
+        let mut t = ChromeTrace::new();
         t.push_lifecycle(&lifecycle(1000));
         t.push_lifecycle(&lifecycle(2000));
         let doc = jsonval::parse(&t.to_json()).unwrap();
@@ -270,7 +269,7 @@ mod tests {
 
     #[test]
     fn incomplete_lifecycle_from_wrapped_ring_is_tolerated() {
-        let mut t = ChromeTrace::new(25.0);
+        let mut t = ChromeTrace::new();
         // Stream starts mid-fault: handler-returned + resumed only.
         let tail: Vec<TraceEvent> = lifecycle(500).split_off(4);
         t.push_lifecycle(&tail);
@@ -286,7 +285,7 @@ mod tests {
 
     #[test]
     fn tenant_lifecycles_land_on_their_own_rows() {
-        let mut t = ChromeTrace::new(25.0);
+        let mut t = ChromeTrace::new();
         t.push_tenant_lifecycle(TID_TENANT_BASE, "tenant 0: gc", &lifecycle(1000));
         t.push_tenant_lifecycle(TID_TENANT_BASE + 1, "tenant 1: dsm", &lifecycle(1000));
         let doc = jsonval::parse(&t.to_json()).unwrap();
@@ -317,7 +316,7 @@ mod tests {
 
     #[test]
     fn profile_spans_land_on_region_thread() {
-        let mut t = ChromeTrace::new(25.0);
+        let mut t = ChromeTrace::new();
         t.push_profile_spans(&[RegionSpan {
             name: "save_state".into(),
             start_cycles: 100,

@@ -39,11 +39,6 @@ impl PromSample {
     pub fn value_u64(&self) -> Option<u64> {
         self.raw_value.parse().ok()
     }
-
-    /// The value as `f64` (`NaN` if unparseable).
-    pub fn value_f64(&self) -> f64 {
-        self.raw_value.parse().unwrap_or(f64::NAN)
-    }
 }
 
 /// A parsed scrape: samples in source order plus the `# TYPE` declarations.

@@ -44,7 +44,7 @@ fn json_lines_sink_emits_valid_json_per_line() {
 
 #[test]
 fn chrome_trace_document_is_valid_and_time_consistent() {
-    let mut trace = ChromeTrace::new(25.0);
+    let mut trace = ChromeTrace::new();
     trace.push_lifecycle(&sample_events());
     trace.push_profile_spans(&[
         RegionSpan {

@@ -15,11 +15,14 @@
 //! |---|---|---|
 //! | Ultrix null syscall | 12 µs (300 cy) | [`ULTRIX_SYSCALL_WRAPPER`] |
 //! | Ultrix simple-exception round trip | ~80 µs (2000 cy) | sum of the `ULTRIX_*` phases + executed guest code |
-//! | Ultrix write-protect delivery | ~60 µs (1500 cy) | adds [`ULTRIX_VM_FAULT_WORK`], but skips part of signal frame work |
+//! | Ultrix write-protect delivery | ~60 µs (1500 cy) | adds [`ULTRIX_VM_FAULT_WORK`] to the simple-exception phases |
+//! | Ultrix `mprotect` | — | [`ULTRIX_SYSCALL_WRAPPER`] + [`ULTRIX_MPROTECT_PER_PAGE`] per page |
 //! | fast-path write-protect delivery | 15 µs (375 cy) | [`FAST_TLBFAULT_KERNEL`] on top of the executed fast path |
 //! | fast-path subpage delivery | 19 µs (475 cy) | adds [`SUBPAGE_LOOKUP`] |
 //! | fault + re-enable with eager amplification | 18 µs | [`FAST_PROTECT_SYSCALL`] |
-//! | kernel instruction-emulation (unprotected subpage) | — | [`SUBPAGE_EMULATE`] |
+//! | kernel instruction-emulation (unprotected subpage; the unaligned fixup pays 1.5×) | — | [`SUBPAGE_EMULATE`], plus [`SUBPAGE_EMULATE_BRANCH`] in a delay slot |
+//! | TLB refill from the page table | — | [`TLB_REFILL`] |
+//! | page-in from the simulated disk | — | [`PAGE_IN`] |
 
 /// Ultrix low-level exception entry: initialize the kernel stack and save
 /// all user registers (some twice, as the paper notes), re-enable
@@ -76,14 +79,15 @@ pub const SUBPAGE_EMULATE_BRANCH: u64 = 30;
 /// handler).
 pub const TLB_REFILL: u64 = 12;
 
-/// Page-in from the simulated disk (dominated by 1994 disk latency;
-/// ~8 ms at 25 MHz would be 200k cycles — we keep the default small so
-/// paging tests run quickly, and it is configurable on the kernel).
-pub const PAGE_IN_DEFAULT: u64 = 25_000;
+/// Page-in from the simulated disk, charged each time the kernel makes a
+/// non-resident page resident. A 1994 disk's ~8 ms would be 200k cycles at
+/// 25 MHz; this 1 ms keeps paging tests quick and still dwarfs every
+/// delivery cost.
+pub const PAGE_IN: u64 = 25_000;
 
 #[cfg(test)]
 mod tests {
-    use efex_mips::cycles::{to_micros, CLOCK_MHZ};
+    use efex_mips::cycles::to_micros;
 
     #[test]
     fn ultrix_round_trip_anchor_is_near_80us() {
@@ -93,14 +97,14 @@ mod tests {
             + super::ULTRIX_POST
             + super::ULTRIX_DELIVER
             + super::ULTRIX_SIGRETURN;
-        let us = to_micros(charged + 100, CLOCK_MHZ);
+        let us = to_micros(charged + 100);
         assert!((70.0..=90.0).contains(&us), "got {us}");
     }
 
     #[test]
     fn fast_protect_syscall_matches_eager_amplification_anchor() {
         // 15 us fault + 3 us re-enable = paper's 18 us.
-        let us = to_micros(super::FAST_PROTECT_SYSCALL, CLOCK_MHZ);
+        let us = to_micros(super::FAST_PROTECT_SYSCALL);
         assert!((2.0..=4.0).contains(&us));
     }
 }

@@ -96,11 +96,6 @@ impl FrameAllocator {
             allocated,
         }
     }
-
-    /// Total successful allocations (statistics).
-    pub fn total_allocated(&self) -> u64 {
-        self.allocated
-    }
 }
 
 #[cfg(test)]

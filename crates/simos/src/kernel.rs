@@ -91,14 +91,8 @@ pub fn boot_images() -> Result<&'static BootImages, AsmError> {
 }
 
 /// Kernel construction parameters.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct KernelConfig {
-    /// Physical memory size in bytes.
-    pub phys_bytes: usize,
-    /// Cycles charged per page-in from the simulated disk.
-    pub page_in_cost: u64,
-    /// Simulated clock in MHz (used only to convert cycles to µs).
-    pub clock_mhz: f64,
     /// Ultrix-compatible unaligned-access fixup: instead of posting
     /// `SIGBUS`, the kernel emulates the unaligned load/store and resumes
     /// (the paper notes Ultrix "optionally tries to fix up unaligned access
@@ -109,18 +103,6 @@ pub struct KernelConfig {
     /// `None` inherits the booting thread's scoped default — see
     /// [`efex_mips::machine::with_machine_config`].
     pub machine: Option<MachineConfig>,
-}
-
-impl Default for KernelConfig {
-    fn default() -> KernelConfig {
-        KernelConfig {
-            phys_bytes: layout::DEFAULT_PHYS_BYTES,
-            page_in_cost: costs::PAGE_IN_DEFAULT,
-            clock_mhz: cycles::CLOCK_MHZ,
-            fixup_unaligned: false,
-            machine: None,
-        }
-    }
 }
 
 /// A fatal kernel error (not a guest-visible condition).
@@ -287,8 +269,6 @@ pub struct Kernel {
     proc: Process,
     frames: FrameAllocator,
     console: Vec<u8>,
-    page_in_cost: u64,
-    clock_mhz: f64,
     fixup_unaligned: bool,
     refill_rr: usize,
     kernel_syms: &'static BTreeMap<String, u32>,
@@ -333,11 +313,11 @@ impl Kernel {
     /// Fails if the embedded images do not assemble or do not fit.
     pub fn boot(cfg: KernelConfig) -> Result<Kernel, KernelError> {
         let machine_cfg = cfg.machine.unwrap_or_else(MachineConfig::inherited);
-        let mut machine = Machine::with_config(cfg.phys_bytes, machine_cfg);
+        let mut machine = Machine::with_config(layout::DEFAULT_PHYS_BYTES, machine_cfg);
         let images = boot_images()?;
         machine.load_image(&images.kernel)?;
 
-        let phys_frames = (cfg.phys_bytes as u32) / PAGE_SIZE;
+        let phys_frames = (layout::DEFAULT_PHYS_BYTES as u32) / PAGE_SIZE;
         let frames = FrameAllocator::new(layout::FIRST_USER_FRAME, phys_frames);
         let proc = Process::new(1, 1);
         machine.set_asid(1);
@@ -347,8 +327,6 @@ impl Kernel {
             proc,
             frames,
             console: Vec::new(),
-            page_in_cost: cfg.page_in_cost,
-            clock_mhz: cfg.clock_mhz,
             fixup_unaligned: cfg.fixup_unaligned,
             refill_rr: 0,
             kernel_syms: images.kernel.symbols(),
@@ -396,12 +374,7 @@ impl Kernel {
 
     /// Total simulated time in microseconds.
     pub fn micros(&self) -> f64 {
-        cycles::to_micros(self.machine.cycles(), self.clock_mhz)
-    }
-
-    /// The simulated clock in MHz.
-    pub fn clock_mhz(&self) -> f64 {
-        self.clock_mhz
+        cycles::to_micros(self.machine.cycles())
     }
 
     /// Charges host-modeled cycles.
@@ -444,11 +417,6 @@ impl Kernel {
     /// Kernel-side exception metrics (deliveries, page faults, phases).
     pub fn trace_metrics(&self) -> &Metrics {
         &self.metrics
-    }
-
-    /// Mutable metrics access (measurement harnesses record through this).
-    pub fn trace_metrics_mut(&mut self) -> &mut Metrics {
-        &mut self.metrics
     }
 
     /// One flat health-plane snapshot of this kernel: the per-process
@@ -527,8 +495,6 @@ impl Kernel {
             frames_free,
             frames_allocated,
             console: self.console.clone(),
-            page_in_cost: self.page_in_cost,
-            clock_mhz: self.clock_mhz,
             fixup_unaligned: self.fixup_unaligned,
             refill_rr: self.refill_rr as u64,
             unix_pending: self.unix_pending.clone(),
@@ -585,24 +551,11 @@ impl Kernel {
             s.frames_allocated,
         );
         self.console = s.console.clone();
-        self.page_in_cost = s.page_in_cost;
-        self.clock_mhz = s.clock_mhz;
         self.fixup_unaligned = s.fixup_unaligned;
         self.refill_rr = s.refill_rr as usize;
         self.unix_pending = s.unix_pending.clone();
         self.snapshot_restores += 1;
         Ok(())
-    }
-
-    /// Checkpoint activity counters: `(saves, restores, restore
-    /// divergences)`. Host-side observability — never serialized, never
-    /// charged simulated cycles.
-    pub fn snapshot_counters(&self) -> (u64, u64, u64) {
-        (
-            self.snapshot_saves,
-            self.snapshot_restores,
-            self.snapshot_restore_divergence,
-        )
     }
 
     /// Emits one lifecycle event stamped with the current cycle counter.
@@ -680,7 +633,11 @@ impl Kernel {
     fn load_user_segments(&mut self, prog: &Program) -> Result<(), KernelError> {
         for seg in prog.segments() {
             let start = seg.addr & !(PAGE_SIZE - 1);
-            let end = (seg.addr + seg.bytes.len() as u32 + PAGE_SIZE - 1) & !(PAGE_SIZE - 1);
+            let end = u32::try_from(seg.bytes.len())
+                .ok()
+                .and_then(|len| seg.addr.checked_add(len)?.checked_add(PAGE_SIZE - 1))
+                .ok_or(KernelError::Map(MapError::OutsideUserSpace(start)))?
+                & !(PAGE_SIZE - 1);
             for page in (start..end).step_by(PAGE_SIZE as usize) {
                 if self.proc.space().pte(page).is_none() {
                     self.proc
@@ -738,7 +695,7 @@ impl Kernel {
                         write,
                     })?;
                 if paged_in {
-                    self.machine.charge_cycles(self.page_in_cost);
+                    self.machine.charge_cycles(costs::PAGE_IN);
                     self.proc.stats.page_faults += 1;
                 }
                 Ok((pfn << 12) | (vaddr & (PAGE_SIZE - 1)))
@@ -963,22 +920,6 @@ impl Kernel {
         Ok(())
     }
 
-    /// Enables the fast exception path for the process without guest code
-    /// (host-level applications register Rust handlers in `efex-core`).
-    ///
-    /// # Errors
-    ///
-    /// Fails if the mask requests a non-enableable exception.
-    pub fn fast_enable_host(&mut self, mask: u32) -> Result<(), KernelError> {
-        if mask & !crate::fastexc::FastExcState::allowed_mask() != 0 {
-            return Err(KernelError::Map(MapError::Unaligned)
-                .tap_msg("mask requests non-enableable exceptions".into()));
-        }
-        self.proc.fast.enabled_mask = mask;
-        self.machine.charge_cycles(costs::ULTRIX_SYSCALL_WRAPPER);
-        Ok(())
-    }
-
     /// Toggles eager amplification (Section 3.2.3).
     pub fn set_eager_amplification(&mut self, on: bool) {
         self.proc.fast.eager_amplification = on;
@@ -1062,7 +1003,7 @@ impl Kernel {
         {
             Ok((pfn, paged_in)) => {
                 if paged_in {
-                    self.machine.charge_cycles(self.page_in_cost);
+                    self.machine.charge_cycles(costs::PAGE_IN);
                 }
                 let fresh = pfn << 12;
                 let lost = || KernelError::CommPageLost { comm_vaddr: comm };
@@ -1238,7 +1179,7 @@ impl Kernel {
                 self.proc.stats.page_faults += 1;
             }
             Err(FaultKind::NotResident) => {
-                self.machine.charge_cycles(self.page_in_cost);
+                self.machine.charge_cycles(costs::PAGE_IN);
                 self.proc
                     .space_mut()
                     .ensure_resident(bad, &mut self.frames)
@@ -1384,7 +1325,7 @@ impl Kernel {
                     // fault surfacing here (legal access, not resident).
                     if self.proc.space().classify(bad, false) == Err(FaultKind::NotResident) {
                         self.trace_emit(EventKind::KernelEntered, path, class, code, badv, epc);
-                        self.machine.charge_cycles(self.page_in_cost);
+                        self.machine.charge_cycles(costs::PAGE_IN);
                         self.proc
                             .space_mut()
                             .ensure_resident(bad, &mut self.frames)?;
@@ -1795,14 +1736,21 @@ impl Kernel {
             nr::SBRK => {
                 self.machine.charge_cycles(costs::ULTRIX_SYSCALL_WRAPPER);
                 let old = self.proc.brk;
-                let len = (a0 + PAGE_SIZE - 1) & !(PAGE_SIZE - 1);
-                match self.proc.space_mut().map_region(old, len, Prot::ReadWrite) {
-                    Ok(()) => {
+                // A mapped region ends inside user space, so the new break
+                // does not overflow.
+                let mapped = a0.checked_add(PAGE_SIZE - 1).and_then(|n| {
+                    let len = n & !(PAGE_SIZE - 1);
+                    let space = self.proc.space_mut();
+                    space.map_region(old, len, Prot::ReadWrite).ok()?;
+                    Some(len)
+                });
+                ret = match mapped {
+                    Some(len) => {
                         self.proc.brk = old + len;
-                        ret = old as i32;
+                        old as i32
                     }
-                    Err(_) => ret = -errno::ENOMEM,
-                }
+                    None => -errno::ENOMEM,
+                };
             }
             _ => ret = -errno::ENOSYS,
         }
@@ -1823,7 +1771,7 @@ impl Kernel {
         if mask & !crate::fastexc::FastExcState::allowed_mask() != 0 {
             return Ok(-errno::EINVAL);
         }
-        if !comm_vaddr.is_multiple_of(PAGE_SIZE) || comm_vaddr >= 0x8000_0000 {
+        if !comm_vaddr.is_multiple_of(PAGE_SIZE) || comm_vaddr >= layout::USER_SPACE_END {
             return Ok(-errno::EINVAL);
         }
         if self.proc.space().pte(comm_vaddr).is_none()

@@ -46,6 +46,10 @@ pub const FIRST_USER_FRAME: u32 = 1;
 
 // --- user space (KUSEG virtual addresses) -------------------------------
 
+/// First address past user space: KSEG0 starts here, so no user mapping
+/// reaches it.
+pub const USER_SPACE_END: u32 = 0x8000_0000;
+
 /// User text segment base.
 pub const USER_TEXT_VADDR: u32 = 0x0040_0000;
 

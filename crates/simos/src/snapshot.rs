@@ -85,10 +85,6 @@ pub struct KernelState {
     pub frames_allocated: u64,
     /// Bytes the guest wrote to the console so far.
     pub console: Vec<u8>,
-    /// Cycles charged per simulated page-in.
-    pub page_in_cost: u64,
-    /// Simulated clock in MHz.
-    pub clock_mhz: f64,
     /// Ultrix-style unaligned-access fixup enabled.
     pub fixup_unaligned: bool,
     /// Round-robin cursor of the kernel TLB-refill path.
@@ -201,8 +197,6 @@ impl KernelState {
         }
         w.u64(self.frames_allocated);
         w.bytes(&self.console);
-        w.u64(self.page_in_cost);
-        w.f64(self.clock_mhz);
         w.bool(self.fixup_unaligned);
         w.u64(self.refill_rr);
         w.u32(self.unix_pending.len() as u32);
@@ -278,8 +272,6 @@ impl KernelState {
         }
         let frames_allocated = r.u64()?;
         let console = r.bytes()?.to_vec();
-        let page_in_cost = r.u64()?;
-        let clock_mhz = r.f64()?;
         let fixup_unaligned = r.bool()?;
         let refill_rr = r.u64()?;
         let n_pending = r.count(1 + 1 + 8)?;
@@ -312,8 +304,6 @@ impl KernelState {
             frames_free,
             frames_allocated,
             console,
-            page_in_cost,
-            clock_mhz,
             fixup_unaligned,
             refill_rr,
             unix_pending,

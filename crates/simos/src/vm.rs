@@ -10,7 +10,7 @@ use std::fmt;
 use std::ops::Range;
 
 use crate::frames::{FrameAllocator, OutOfFrames, Pfn};
-use crate::layout::PAGE_SIZE;
+use crate::layout::{PAGE_SIZE, USER_SPACE_END};
 use efex_mips::tlb::TlbEntry;
 
 /// Page protection.
@@ -114,6 +114,8 @@ pub enum MapError {
     NotMapped(u32),
     /// Out of physical frames.
     OutOfFrames,
+    /// The region starting at this address wraps or ends past user space.
+    OutsideUserSpace(u32),
 }
 
 impl fmt::Display for MapError {
@@ -123,6 +125,7 @@ impl fmt::Display for MapError {
             MapError::Overlap(v) => write!(f, "page {v:#x} already mapped"),
             MapError::NotMapped(v) => write!(f, "page {v:#x} not mapped"),
             MapError::OutOfFrames => f.write_str("out of physical frames"),
+            MapError::OutsideUserSpace(v) => write!(f, "region at {v:#x} leaves user space"),
         }
     }
 }
@@ -225,10 +228,17 @@ impl AddressSpace {
     ///
     /// # Errors
     ///
-    /// Fails on misalignment or overlap with an existing mapping.
+    /// Fails on misalignment, on a region that wraps or ends past
+    /// [`USER_SPACE_END`], or on overlap with an existing mapping.
     pub fn map_region(&mut self, vaddr: u32, len: u32, prot: Prot) -> Result<(), MapError> {
         if !vaddr.is_multiple_of(PAGE_SIZE) || !len.is_multiple_of(PAGE_SIZE) || len == 0 {
             return Err(MapError::Unaligned);
+        }
+        if vaddr
+            .checked_add(len)
+            .is_none_or(|end| end > USER_SPACE_END)
+        {
+            return Err(MapError::OutsideUserSpace(vaddr));
         }
         let first = vaddr / PAGE_SIZE;
         let count = len / PAGE_SIZE;

@@ -33,7 +33,7 @@ pub const MAGIC: [u8; 8] = *b"EFEXSNAP";
 
 /// Current wire-format version. Bump on any layout change; readers reject
 /// versions they do not know with [`SnapError::UnsupportedVersion`].
-pub const FORMAT_VERSION: u32 = 3;
+pub const FORMAT_VERSION: u32 = 4;
 
 /// What a snapshot artifact contains. Stored in the header so a restore
 /// entry point can reject a structurally valid snapshot of the wrong kind
@@ -64,19 +64,6 @@ impl Flavor {
             Flavor::Host => 4,
             Flavor::Tenant => 5,
             Flavor::Recording => 6,
-        }
-    }
-
-    /// Decodes a header tag byte.
-    pub fn from_tag(tag: u8) -> Option<Flavor> {
-        match tag {
-            1 => Some(Flavor::Machine),
-            2 => Some(Flavor::Kernel),
-            3 => Some(Flavor::System),
-            4 => Some(Flavor::Host),
-            5 => Some(Flavor::Tenant),
-            6 => Some(Flavor::Recording),
-            _ => None,
         }
     }
 

@@ -98,11 +98,6 @@ impl RingSink {
     pub fn clear(&self) {
         self.ring.borrow_mut().clear();
     }
-
-    /// Runs `f` against the underlying ring without copying.
-    pub fn with_ring<R>(&self, f: impl FnOnce(&EventRing) -> R) -> R {
-        f(&self.ring.borrow())
-    }
 }
 
 impl Default for RingSink {
